@@ -134,7 +134,32 @@ EXPERIMENTS: Dict[str, Experiment] = {
 }
 
 
+#: Exit status after the reader of standard output went away: what a
+#: process killed by SIGPIPE reports (128 + 13).
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; a reader that closes early ends it quietly.
+
+    ``umi-experiments ... | head`` closes the pipe after a few lines.
+    Every subcommand prints through ``sys.stdout``, so the resulting
+    ``BrokenPipeError`` is handled here once: standard output is
+    pointed at ``os.devnull`` (so the interpreter's final flush cannot
+    raise again) and the exit status is :data:`EXIT_BROKEN_PIPE`.
+    """
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="umi-experiments",
         description="Regenerate the paper's tables and figures.",

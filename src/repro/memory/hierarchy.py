@@ -75,6 +75,32 @@ class MachineConfig:
         )
 
 
+class _PrefetchSink:
+    """The hardware prefetcher's issue sink, bound once per hierarchy.
+
+    Prefetchers call ``sink(line_addr)`` with no notion of time, so the
+    miss path stores the current cycle in :attr:`now` before each
+    ``observe`` instead of allocating a closure over it per miss (so a
+    prefetcher must issue during ``observe``, as the interface says).
+    It holds the L2, not the hierarchy, so no reference cycle keeps a
+    finished hierarchy alive.
+    """
+
+    __slots__ = ("l2", "latency", "now")
+
+    def __init__(self, l2: Cache, latency: int) -> None:
+        self.l2 = l2
+        self.latency = latency
+        self.now = 0
+
+    def __call__(self, line_addr: int) -> None:
+        if line_addr < 0:
+            return
+        now = self.now
+        self.l2.fill(line_addr, now=now, ready_at=now + self.latency,
+                     prefetched=True)
+
+
 class MemoryHierarchy:
     """L1D + L2 + memory, with optional hardware prefetchers at the L2."""
 
@@ -89,6 +115,7 @@ class MemoryHierarchy:
         self.l1i = (Cache(config.l1i, make_policy(config.replacement))
                     if config.l1i else None)
         self.hw_prefetcher = hw_prefetcher
+        self._prefetch = _PrefetchSink(self.l2, config.memory_latency)
         #: optional data TLB (see :mod:`repro.memory.tlb`); attach one
         #: to study translation overheads.  None by default.
         self.tlb = None
@@ -104,6 +131,10 @@ class MemoryHierarchy:
                            stream.l2_hits.append)
         self._line_bits = config.l1.line_bits
         self._line_size = config.l1.line_size
+        # Latencies (the configs are frozen).
+        self._l1_latency = config.l1.hit_latency
+        self._l2_latency = config.l2.hit_latency
+        self._mem_latency = config.memory_latency
         self.sw_prefetches_issued = 0
         # Per-PC L2 accounting, filled only when enabled (the Cachegrind
         # baseline and delinquent-load ground truth need it).
@@ -121,51 +152,103 @@ class MemoryHierarchy:
         paper notes hardware/simulator mismatches around values that
         "cross multiple cache lines" -- here they simply cost two line
         accesses).
+
+        The common case -- one line, no TLB, an array-engine L1 -- looks
+        the line up once in the L1's ``line -> slot`` map and retires a
+        hit right here on the L1's columns, exactly as
+        :meth:`Cache.probe` would.  The columns are read through the
+        cache on every call because ``flush``/``state_restore`` rebind
+        them.  Everything else goes through ``probe``; every L1 miss
+        goes to :meth:`_miss`.
         """
-        first_line = addr >> self._line_bits
-        last_line = (addr + size - 1) >> self._line_bits
+        line_bits = self._line_bits
+        line_addr = addr >> line_bits
+        last_line = (addr + size - 1) >> line_bits
+        l1 = self.l1
+        if last_line == line_addr and self.tlb is None and l1._fast:
+            slot = l1._where.get(line_addr)
+            stats = l1.stats
+            if is_write:
+                stats.writes += 1
+                l1._plain = False
+            else:
+                stats.reads += 1
+            if slot is None:
+                if is_write:
+                    stats.write_misses += 1
+                else:
+                    stats.read_misses += 1
+                return self._miss(pc, line_addr, is_write, now)
+            latency = self._l1_latency
+            if not l1._plain_timing:
+                ready = l1._ready[slot]
+                if ready > now:
+                    latency += ready - now
+                    stats.late_prefetch_stall_cycles += ready - now
+                if l1._pref[slot]:
+                    l1._pref[slot] = False
+                    stats.useful_prefetches += 1
+            if is_write:
+                l1._dirty[slot] = True
+            if l1._touch:
+                l1._stamps[slot] = now
+                if l1._plru:
+                    l1._mru[slot] = True
+            stream = self.line_stream
+            if stream.consumers:
+                e_pc, e_line, e_write, e_h1, e_h2 = self._emit_line
+                e_pc(pc)
+                e_line(line_addr)
+                e_write(is_write)
+                e_h1(True)
+                e_h2(True)
+                if len(stream.pcs) >= stream.batch_size:
+                    stream.drain()
+            return latency
         latency = 0
         if self.tlb is not None:
             latency += self.tlb.translate(addr)
-        for line_addr in range(first_line, last_line + 1):
-            latency += self._access_line(pc, line_addr, is_write, now)
+        for line_addr in range(line_addr, last_line + 1):
+            hit, stall = l1.probe(line_addr, is_write, now)
+            if hit:
+                latency += self._l1_latency + stall
+                stream = self.line_stream
+                if stream.consumers:
+                    stream.emit(pc, line_addr, is_write, True, True)
+            else:
+                latency += self._miss(pc, line_addr, is_write, now)
         return latency
 
-    def _access_line(self, pc: int, line_addr: int, is_write: bool,
-                     now: int) -> int:
-        latency = self.l1.config.hit_latency
-        l1_hit, stall = self.l1.probe(line_addr, is_write, now)
-        l2_hit = True
-        if not l1_hit:
-            latency += self.l2.config.hit_latency
-            l2_hit, l2_stall = self.l2.probe(line_addr, is_write, now)
-            if self.track_per_pc and not is_write:
-                self.pc_l2_refs[pc] = self.pc_l2_refs.get(pc, 0) + 1
-            if l2_hit:
-                latency += l2_stall
-            else:
-                latency += self.config.memory_latency
-                self.l2.fill(line_addr, now=now, is_write=is_write)
-                if self.track_per_pc and not is_write:
-                    self.pc_l2_misses[pc] = self.pc_l2_misses.get(pc, 0) + 1
-            self.l1.fill(line_addr, now=now, is_write=is_write)
-            if self.hw_prefetcher is not None:
-                self.hw_prefetcher.observe(
-                    pc, line_addr, l2_hit,
-                    lambda target: self.prefetch_line(target, now),
-                )
+    def _miss(self, pc: int, line_addr: int, is_write: bool,
+              now: int) -> int:
+        """Service one L1 demand miss the caller has already counted.
+
+        Probes and fills the L2, fills the L1, keeps the per-PC L2
+        counts, trains the hardware prefetcher and publishes the line
+        event; returns the line's whole latency.
+        """
+        latency = self._l1_latency + self._l2_latency
+        l2 = self.l2
+        l2_hit, l2_stall = l2.probe(line_addr, is_write, now)
+        track = self.track_per_pc and not is_write
+        if track:
+            self.pc_l2_refs[pc] = self.pc_l2_refs.get(pc, 0) + 1
+        if l2_hit:
+            latency += l2_stall
         else:
-            latency += stall
+            latency += self._mem_latency
+            l2.fill(line_addr, now=now, is_write=is_write)
+            if track:
+                self.pc_l2_misses[pc] = self.pc_l2_misses.get(pc, 0) + 1
+        self.l1.fill(line_addr, now=now, is_write=is_write)
+        hw_prefetcher = self.hw_prefetcher
+        if hw_prefetcher is not None:
+            sink = self._prefetch
+            sink.now = now
+            hw_prefetcher.observe(pc, line_addr, l2_hit, sink)
         stream = self.line_stream
         if stream.consumers:
-            e_pc, e_line, e_write, e_h1, e_h2 = self._emit_line
-            e_pc(pc)
-            e_line(line_addr)
-            e_write(is_write)
-            e_h1(l1_hit)
-            e_h2(l2_hit)
-            if len(stream.pcs) >= stream.batch_size:
-                stream.drain()
+            stream.emit(pc, line_addr, is_write, False, l2_hit)
         return latency
 
     # -- instruction fetch path ------------------------------------------------
@@ -181,20 +264,42 @@ class MemoryHierarchy:
         block's code footprint).  Returns the fetch latency.  Instruction
         traffic lands in the L2's demand statistics -- what the hardware
         counters see -- but is invisible to the data-only simulators.
+        An array-engine L1I retires hits on its columns, as
+        :meth:`access` does for the L1D.
         """
         l1i = self.l1i
         if l1i is None:
             return 0
         latency = 0
+        l2 = self.l2
+        fast = l1i._fast
+        if fast:
+            where = l1i._where
+            stats = l1i.stats
         for line_addr in code_lines:
-            hit, _ = l1i.probe(line_addr, False, now)
-            if hit:
+            if fast:
+                stats.reads += 1
+                slot = where.get(line_addr)
+                if slot is not None:
+                    if not l1i._plain_timing:
+                        ready = l1i._ready[slot]
+                        if ready > now:
+                            stats.late_prefetch_stall_cycles += ready - now
+                        if l1i._pref[slot]:
+                            l1i._pref[slot] = False
+                            stats.useful_prefetches += 1
+                    if l1i._touch:
+                        l1i._stamps[slot] = now
+                        if l1i._plru:
+                            l1i._mru[slot] = True
+                    continue
+                stats.read_misses += 1
+            elif l1i.probe(line_addr, False, now)[0]:
                 continue
-            latency += self.l2.config.hit_latency
-            l2_hit, _ = self.l2.probe(line_addr, False, now)
-            if not l2_hit:
-                latency += self.config.memory_latency
-                self.l2.fill(line_addr, now=now)
+            latency += self._l2_latency
+            if not l2.probe(line_addr, False, now)[0]:
+                latency += self._mem_latency
+                l2.fill(line_addr, now=now)
             l1i.fill(line_addr, now=now)
         return latency
 
@@ -202,13 +307,9 @@ class MemoryHierarchy:
 
     def prefetch_line(self, line_addr: int, now: int = 0) -> None:
         """Bring a line into the L2 (hardware prefetch request)."""
-        if line_addr < 0:
-            return
-        self.l2.fill(
-            line_addr, now=now,
-            ready_at=now + self.config.memory_latency,
-            prefetched=True,
-        )
+        sink = self._prefetch
+        sink.now = now
+        sink(line_addr)
 
     def software_prefetch(self, addr: int, now: int = 0) -> None:
         """A software ``prefetcht2``-style hint for byte address ``addr``."""

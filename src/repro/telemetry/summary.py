@@ -3,8 +3,8 @@
 Turns a registry snapshot + event log into the tables behind
 ``umi-experiments telemetry DIR`` and ``summary.txt``:
 
-* an overview (specs executed, wall time, store hit ratio, analyzer
-  activity, event volume);
+* an overview (specs and fusion groups executed, wall time, store hit
+  ratio, analyzer activity, event volume);
 * the slowest executed specs (from ``executor.spec`` span events);
 * per-workload analyzer time share (``span.umi.analyzer`` wall seconds
   against ``span.executor.spec`` wall seconds, per workload label) --
@@ -69,7 +69,11 @@ def overview_table(metrics: List[Dict[str, Any]],
     probes = hits + misses
     table = Table("Telemetry overview", ["metric", "value"],
                   ["{}", "{}"])
+    # One ``executor.spec`` span covers a whole fusion group, so specs
+    # come from the engine's counter and the spans count executions.
     table.add_row("specs executed",
+                  _counter_total(metrics, "engine.specs_executed"))
+    table.add_row("fusion groups executed",
                   int(_timer_total(metrics, "span.executor.spec", "count")))
     table.add_row("spec wall seconds",
                   "%.3f" % _timer_total(metrics, "span.executor.spec",

@@ -29,6 +29,7 @@ from repro.telemetry import (
     prometheus_text, read_events_jsonl, render_summary,
     write_events_jsonl, write_telemetry_dir,
 )
+from repro.telemetry.summary import overview_table
 
 SCALE = 0.1
 MACHINE_SCALE = 16
@@ -258,6 +259,21 @@ class TestExporters:
     def test_summary_handles_empty_telemetry(self):
         assert "Telemetry overview" in render_summary([], [])
 
+    def test_overview_counts_specs_not_fusion_groups(self):
+        # Three specs run as two fusion groups: one executor.spec span
+        # per group, while the engine counts every spec.
+        telemetry = Telemetry(enabled=True)
+        telemetry.count("engine.specs_executed", n=3)
+        for fused in (2, 1):
+            with telemetry.span("executor.spec",
+                                labels={"workload": WORKLOAD},
+                                fused=fused):
+                pass
+        rows = dict(overview_table(telemetry.registry.snapshot(),
+                                   telemetry.events).rows)
+        assert rows["specs executed"] == 3
+        assert rows["fusion groups executed"] == 2
+
 
 class TestReconciliation:
     """Telemetry counters must equal the subsystem's own counters."""
@@ -395,3 +411,19 @@ class TestCLITelemetry:
         assert "Telemetry overview" in rendered
         assert "Analyzer time share per workload" in rendered
         assert "Slowest specs" in rendered
+
+    def test_overview_specs_match_wavefront_banner(self, tmp_path, capsys,
+                                                  global_telemetry):
+        # table2 fuses its specs, so fewer executor.spec spans than
+        # specs are recorded; the overview must agree with the banner.
+        from repro.experiments.cli import main
+        from repro.telemetry.export import load_telemetry_dir
+        directory = tmp_path / "telemetry"
+        assert main(["table2", "--scale", "0.1", "--no-store",
+                     "--telemetry", str(directory)]) == 0
+        banner = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("[wavefront:"))
+        executed = int(banner.split()[1])
+        rows = dict(overview_table(*load_telemetry_dir(directory)).rows)
+        assert rows["specs executed"] == executed == 4
+        assert rows["fusion groups executed"] < executed
