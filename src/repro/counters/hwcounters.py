@@ -14,12 +14,12 @@ state's cycle counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from operator import or_
 
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.stream import LineBatch, LineConsumer, LineEvent
+from repro.stream import LineBatch, LineConsumer
 from repro.vm.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.vm.state import MachineState
 
@@ -113,7 +113,7 @@ class HardwareCounters(LineConsumer):
 
     Attach with :meth:`attach`; the hierarchy's
     :class:`~repro.stream.LineStream` delivers demand line accesses to
-    :meth:`on_lines` in batches.  Counting is passive (no simulator
+    :meth:`on_line_batch` in batches.  Counting is passive (no simulator
     state of its own), so any number of counter sets can share one
     execution -- the basis of the fused Table 1 sweep.
     """
@@ -157,21 +157,6 @@ class HardwareCounters(LineConsumer):
         l2_miss = counters.get("l2_miss")
         if l2_miss is not None:
             l2_miss.add(n - sum(map(or_, l1_hits, batch.l2_hits)))
-
-    def on_lines(self, batch: List[LineEvent]) -> None:
-        counters = self.counters
-        l1_miss = counters.get("l1_miss")
-        l2_ref = counters.get("l2_ref")
-        l2_miss = counters.get("l2_miss")
-        for ev in batch:
-            if not ev[3]:  # L1 miss: the L2 sees a reference
-                if l1_miss is not None:
-                    l1_miss.increment()
-                if l2_ref is not None:
-                    l2_ref.increment()
-                if not ev[4]:
-                    if l2_miss is not None:
-                        l2_miss.increment()
 
     def summary(self) -> Dict[str, int]:
         return {event: c.count for event, c in self.counters.items()}

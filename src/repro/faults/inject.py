@@ -13,7 +13,7 @@ and install it on entry, so injection works identically under
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from .plan import FaultPlan, InjectedConsumerFault
 
@@ -63,18 +63,8 @@ class FaultyConsumerProxy:
         self._fail_batch = fail_batch
         self._batches = 0
         self.wants_ifetch = getattr(consumer, "wants_ifetch", False)
-        # Mirror the wrapped consumer's columnar hooks: the hubs pick
-        # the delivery path by getattr, so the proxy must expose
-        # on_batch/on_line_batch exactly when its consumer does --
-        # otherwise wrapping would silently reroute a columnar consumer
-        # through the legacy tuple shim.
-        if hasattr(consumer, "on_batch"):
-            self.on_batch = lambda batch: self._deliver("on_batch", batch)
-        if hasattr(consumer, "on_line_batch"):
-            self.on_line_batch = (
-                lambda batch: self._deliver("on_line_batch", batch))
 
-    def _deliver(self, method: str, batch: List[Any]) -> None:
+    def _deliver(self, method: str, batch: Any) -> None:
         self._batches += 1
         if self._batches == self._fail_batch:
             raise InjectedConsumerFault(
@@ -82,11 +72,11 @@ class FaultyConsumerProxy:
                 f"batch {self._fail_batch})")
         getattr(self._consumer, method)(batch)
 
-    def on_refs(self, batch: List[Any]) -> None:
-        self._deliver("on_refs", batch)
+    def on_batch(self, batch: Any) -> None:
+        self._deliver("on_batch", batch)
 
-    def on_lines(self, batch: List[Any]) -> None:
-        self._deliver("on_lines", batch)
+    def on_line_batch(self, batch: Any) -> None:
+        self._deliver("on_line_batch", batch)
 
     def on_epoch(self, info) -> None:
         self._consumer.on_epoch(info)

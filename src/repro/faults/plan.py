@@ -30,7 +30,7 @@ Fault kinds
     ``store fsck`` must find).
 ``consumer``
     The named stream consumer raises :class:`InjectedConsumerFault`
-    on its ``batch``-th delivered batch (``on_refs``/``on_lines``),
+    on its ``batch``-th delivered batch (``on_batch``/``on_line_batch``),
     exercising the hub's quarantine path.  Consumer rules select by
     consumer name alone (it fires in every run that builds that
     consumer); the spec selectors ``match``, ``attempts`` and

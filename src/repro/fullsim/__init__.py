@@ -9,12 +9,10 @@ from .cachegrind import (
     CACHEGRIND_SLOWDOWN_RANGE, CachegrindSimulator, PCStats,
 )
 from .delinquent import DEFAULT_COVERAGE, delinquent_set, miss_coverage
-from .dinero import (
-    DineroResult, simulate_din, simulate_events, simulate_trace,
-)
+from .dinero import DineroResult, simulate_din, simulate_trace
 
 __all__ = [
     "CachegrindSimulator", "PCStats", "CACHEGRIND_SLOWDOWN_RANGE",
     "delinquent_set", "miss_coverage", "DEFAULT_COVERAGE",
-    "DineroResult", "simulate_din", "simulate_events", "simulate_trace",
+    "DineroResult", "simulate_din", "simulate_trace",
 ]

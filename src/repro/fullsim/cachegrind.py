@@ -157,13 +157,6 @@ class CachegrindSimulator(RefConsumer):
             for p, a, s, k in zip(pcs, addrs, sizes, kinds):
                 observe(p, a, k == KIND_WRITE, s)
 
-    def on_refs(self, batch) -> None:
-        """Legacy tuple delivery; same filtering as :meth:`on_batch`."""
-        observe = self.observe
-        for ev in batch:
-            if ev[3] != KIND_IFETCH:
-                observe(ev[0], ev[1], ev[3] == KIND_WRITE, ev[2])
-
     def finish(self) -> None:
         self._drain()
 

@@ -81,20 +81,6 @@ def simulate_trace(references: Iterable[Tuple[bool, int]],
     )
 
 
-def simulate_events(events, config: CacheConfig,
-                    policy: str = "lru") -> DineroResult:
-    """Run :class:`~repro.stream.MemoryEvent` records (e.g. collected by
-    a :class:`~repro.stream.CollectingRefConsumer`) through one cache;
-    instruction-fetch events are skipped, matching the din data trace."""
-    from repro.stream import KIND_IFETCH, KIND_WRITE
-
-    return simulate_trace(
-        ((ev.kind == KIND_WRITE, ev.addr)
-         for ev in events if ev.kind != KIND_IFETCH),
-        config, policy,
-    )
-
-
 def simulate_din(source: Union[str, IO[str]], config: CacheConfig,
                  policy: str = "lru") -> DineroResult:
     """Simulate a din-format trace from a path or open stream."""

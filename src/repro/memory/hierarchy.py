@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.stream import LineStream
+from repro.stream import BATCH_SIZE, LineStream
 
 from .cache import Cache, CacheConfig, CacheStats
 from .policies import make_policy
@@ -106,7 +106,7 @@ class MemoryHierarchy:
 
     def __init__(self, config: MachineConfig,
                  hw_prefetcher: Optional[HardwarePrefetcher] = None,
-                 line_batch_size: Optional[int] = None) -> None:
+                 line_batch_size: int = BATCH_SIZE) -> None:
         if config.l1.line_size != config.l2.line_size:
             raise ValueError("L1 and L2 line sizes must match in this model")
         self.config = config
@@ -121,8 +121,8 @@ class MemoryHierarchy:
         self.tlb = None
         #: demand line-access events publish here in columnar batches;
         #: the hardware counters and phase detector attach as consumers.
-        #: ``line_batch_size`` overrides the stream default (which in
-        #: turn honours ``UMI_STREAM_BATCH``).
+        #: ``line_batch_size`` overrides the stream default
+        #: (:data:`repro.stream.BATCH_SIZE`).
         self.line_stream = LineStream(batch_size=line_batch_size)
         # Bound column appends, hoisted once (the buffers are stable).
         stream = self.line_stream

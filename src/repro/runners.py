@@ -46,7 +46,9 @@ from repro.isa import Program
 from repro.memory import (
     MachineConfig, MemoryHierarchy, make_hw_prefetcher,
 )
-from repro.stream import BuildContext, RefStream, create_consumer
+from repro.stream import (
+    BuildContext, LineConsumer, RefConsumer, RefStream, create_consumer,
+)
 from repro.vm import (
     CostModel, DEFAULT_COST_MODEL, DEFAULT_MAX_STEPS, DynamoSim,
     Interpreter, RuntimeConfig, RuntimeStats,
@@ -114,6 +116,26 @@ def _make_hierarchy(machine: MachineConfig, hw_prefetch: bool
     )
 
 
+#: The one delivery hook each event plane calls.
+_PLANE_HOOKS = {"refs": "on_batch", "lines": "on_line_batch"}
+
+#: The base classes' placeholders, which only raise NotImplementedError.
+_UNIMPLEMENTED_HOOKS = (RefConsumer.on_batch, LineConsumer.on_line_batch)
+
+
+def _check_delivery_hook(name: str, plane: str, consumer: Any) -> None:
+    """Reject a consumer that cannot take its plane's batches, before
+    the run starts rather than by quarantine mid-run."""
+    hook = _PLANE_HOOKS[plane]
+    method = getattr(consumer, hook, None)
+    if method is None or getattr(method, "__func__", None) \
+            in _UNIMPLEMENTED_HOOKS:
+        raise ValueError(
+            f"stream consumer {name!r} ({type(consumer).__name__}) is "
+            f"registered on the {plane!r} plane but does not implement "
+            f"{hook}")
+
+
 class _StreamPlan:
     """Registry consumers resolved for one run, wired to its streams.
 
@@ -138,6 +160,7 @@ class _StreamPlan:
             if name in self.by_name:
                 continue
             entry, consumer = create_consumer(name, context)
+            _check_delivery_hook(name, entry.plane, consumer)
             if fault_plan is not None:
                 fail_batch = fault_plan.consumer_batch(name)
                 if fail_batch is not None:

@@ -15,14 +15,8 @@ the registry because they depend on :mod:`repro.memory` and
 from .consumer import (
     CollectingRefConsumer, LineConsumer, NullRefConsumer, RefConsumer,
 )
-from .events import (
-    KIND_IFETCH, KIND_READ, KIND_WRITE, LineBatch, LineEvent, MemoryEvent,
-    RefBatch,
-)
-from .hub import (
-    BATCH_ENV_VAR, BATCH_SIZE, LineStream, QuarantineRecord, RefStream,
-    default_batch_size,
-)
+from .events import KIND_IFETCH, KIND_READ, KIND_WRITE, LineBatch, RefBatch
+from .hub import BATCH_SIZE, LineStream, QuarantineRecord, RefStream
 from .registry import (
     REGISTRY, BuildContext, ConsumerEntry, ConsumerRegistry,
     consumer_names, create_consumer, register_consumer,
@@ -30,11 +24,10 @@ from .registry import (
 )
 
 __all__ = [
-    "BATCH_ENV_VAR", "BATCH_SIZE", "BuildContext", "CollectingRefConsumer",
-    "ConsumerEntry", "ConsumerRegistry", "KIND_IFETCH", "KIND_READ",
-    "KIND_WRITE", "LineBatch", "LineConsumer", "LineEvent", "LineStream",
-    "MemoryEvent", "NullRefConsumer", "QuarantineRecord", "REGISTRY",
-    "RefBatch", "RefConsumer", "RefStream", "consumer_names",
-    "create_consumer", "default_batch_size", "register_consumer",
+    "BATCH_SIZE", "BuildContext", "CollectingRefConsumer", "ConsumerEntry",
+    "ConsumerRegistry", "KIND_IFETCH", "KIND_READ", "KIND_WRITE",
+    "LineBatch", "LineConsumer", "LineStream", "NullRefConsumer",
+    "QuarantineRecord", "REGISTRY", "RefBatch", "RefConsumer", "RefStream",
+    "consumer_names", "create_consumer", "register_consumer",
     "spec_safe_consumer_names",
 ]

@@ -21,7 +21,7 @@ These are the pipeline backends a run can request by name (see
     :class:`repro.core.phase.PhaseTracker`.
 ``profile-recorder``
     An offline approximation of UMI's two-level profiling structure:
-    groups data references by trace pass (``MemoryEvent.trace_id``) into
+    groups data references by trace pass (the batch's trace-id runs) into
     per-trace :class:`repro.core.profiles.AddressProfile` rows.
 ``din-writer``
     Streams events out as a din-format trace file
@@ -43,9 +43,7 @@ from repro.memory.hierarchy import MachineConfig, MemoryHierarchy
 from repro.memory.tlb import TLB
 
 from .consumer import LineConsumer, RefConsumer
-from .events import (
-    KIND_IFETCH, KIND_WRITE, LineBatch, LineEvent, MemoryEvent, RefBatch,
-)
+from .events import KIND_IFETCH, KIND_WRITE, LineBatch, RefBatch
 from .registry import BuildContext, register_consumer
 
 #: Code lines are 64 bytes in the interpreter's fetch model; ifetch
@@ -87,17 +85,6 @@ class ShadowHierarchyConsumer(RefConsumer):
             for pc, addr, size, kind, cycle in columns:
                 access(pc, addr, kind == KIND_WRITE, size, cycle)
 
-    def on_refs(self, batch: List[MemoryEvent]) -> None:
-        hierarchy = self.hierarchy
-        access = hierarchy.access
-        fetch = hierarchy.fetch
-        for ev in batch:
-            kind = ev[3]
-            if kind == KIND_IFETCH:
-                fetch((ev[1] >> _CODE_LINE_BITS,), ev[4])
-            else:
-                access(ev[0], ev[1], kind == KIND_WRITE, ev[2], ev[4])
-
     def summary(self) -> Dict[str, Any]:
         hierarchy = self.hierarchy
         out: Dict[str, Any] = {
@@ -123,14 +110,6 @@ class TLBConsumer(RefConsumer):
         else:
             addrs = batch.addrs
         self.walk_cycles += sum(map(self.tlb.translate, addrs))
-
-    def on_refs(self, batch: List[MemoryEvent]) -> None:
-        translate = self.tlb.translate
-        walk = 0
-        for ev in batch:
-            if ev[3] != KIND_IFETCH:
-                walk += translate(ev[1])
-        self.walk_cycles += walk
 
     def summary(self) -> Dict[str, Any]:
         stats = self.tlb.stats
@@ -184,24 +163,6 @@ class PhaseConsumer(LineConsumer):
         self._refs = refs
         self._misses = misses
 
-    def on_lines(self, batch: List[LineEvent]) -> None:
-        refs = self._refs
-        misses = self._misses
-        window = self.window
-        for ev in batch:
-            if ev[3]:  # L1 hit: invisible at the L2
-                continue
-            refs += 1
-            if not ev[4]:
-                misses += 1
-            if refs >= window:
-                self.tracker.observe(misses / refs)
-                self.observations += 1
-                refs = 0
-                misses = 0
-        self._refs = refs
-        self._misses = misses
-
     def finish(self) -> None:
         if self._refs:
             self.tracker.observe(self._misses / self._refs)
@@ -236,9 +197,8 @@ class ProfileRecorderConsumer(RefConsumer):
         self._pairs: List = []
 
     def on_batch(self, batch: RefBatch) -> None:
-        # Trace passes are exactly the batch's trace-id runs, so the
-        # per-event trace-id comparison of the tuple path collapses to
-        # one branch per run.
+        # Trace passes are exactly the batch's trace-id runs, so a pass
+        # boundary costs one branch per run, not a per-event compare.
         kinds = batch.kinds
         has_ifetch = KIND_IFETCH in kinds
         pcs = batch.pcs
@@ -258,20 +218,6 @@ class ProfileRecorderConsumer(RefConsumer):
                         if kinds[i] != KIND_IFETCH)
                 else:
                     pairs.extend(zip(pcs[start:stop], addrs[start:stop]))
-        self._current = current
-
-    def on_refs(self, batch: List[MemoryEvent]) -> None:
-        current = self._current
-        pairs = self._pairs
-        for ev in batch:
-            tid = ev[5]
-            if tid != current:
-                if current is not None and pairs:
-                    self._flush_pass(current, pairs)
-                    pairs = self._pairs
-                current = tid
-            if tid is not None and ev[3] != KIND_IFETCH:
-                pairs.append((ev[0], ev[1]))
         self._current = current
 
     def _flush_pass(self, pass_id: str, pairs: List) -> None:
@@ -344,18 +290,6 @@ class DinTraceWriter(RefConsumer):
                      if k != KIND_IFETCH]
             count = len(pairs)
         self._handle.write("".join(map("%d %x\n".__mod__, pairs)))
-        self.records += count
-
-    def on_refs(self, batch: List[MemoryEvent]) -> None:
-        write = self._handle.write
-        include_ifetch = self._include_ifetch
-        count = 0
-        for ev in batch:
-            kind = ev[3]
-            if kind == KIND_IFETCH and not include_ifetch:
-                continue
-            write(f"{kind} {ev[1]:x}\n")
-            count += 1
         self.records += count
 
     def finish(self) -> None:

@@ -1,16 +1,17 @@
-"""The canonical memory-event records of the reference-stream pipeline.
+"""The columnar memory-event batches of the reference-stream pipeline.
 
 Every producer (the interpreter, the runtime, the memory hierarchy)
-speaks one of two event vocabularies:
+speaks one of two event vocabularies, each delivered as a columnar
+batch:
 
-* :class:`MemoryEvent` -- one raw reference as the program issued it
+* :class:`RefBatch` -- raw references as the program issued them
   (byte address + size, before any cache geometry is applied).  The
   ``kind`` encoding deliberately matches the din trace format
   (:mod:`repro.vm.tracing`): 0 = read, 1 = write, 2 = ifetch, so a
   stream can be written straight out as a din trace.
-* :class:`LineEvent` -- one demand *line* access as the modelled
-  hierarchy resolved it (post line-splitting, with hit/miss outcomes).
-  Hardware counters and phase detectors live on this plane.
+* :class:`LineBatch` -- demand *line* accesses as the modelled
+  hierarchy resolved them (post line-splitting, with hit/miss
+  outcomes).  Hardware counters and phase detectors live on this plane.
 
 ``cycle`` is the machine-state cycle count at the moment the reference
 was issued -- the exact ``now`` the producing hierarchy saw -- which is
@@ -23,54 +24,22 @@ cycles reproduce the producing run's stamps verbatim).
 -- unique per pass so consumers can group references into profile rows
 without extra markers.
 
-Batches travel in structure-of-arrays form: :class:`RefBatch` and
-:class:`LineBatch` carry one parallel column per field instead of a
-list of per-event tuples, so producers pay five list appends per event
-and columnar consumers iterate plain int lists at C speed.  Trace ids
-are run-length encoded (they only change between trace passes): a batch
-carries an interning table plus ``(start_offset, table_index)`` runs,
-never a per-event string column.  ``to_events()`` materializes the
-legacy tuple view on demand (cached per batch) for consumers that still
-implement ``on_refs``/``on_lines``.
+Batches travel in structure-of-arrays form: both batch types carry
+one parallel column per field, never a list of per-event records, so
+producers pay five list appends per event and consumers iterate plain
+int lists at C speed.  Trace ids are run-length encoded (they only
+change between trace passes): a batch carries an interning table plus
+``(start_offset, table_index)`` runs, never a per-event string column.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 #: Event kinds, matching the din trace format's record types.
 KIND_READ = 0
 KIND_WRITE = 1
 KIND_IFETCH = 2
-
-
-class MemoryEvent(NamedTuple):
-    """One raw memory reference: ``(pc, addr, size, kind, cycle, trace_id)``."""
-
-    pc: int
-    addr: int
-    size: int
-    kind: int
-    cycle: int
-    trace_id: Optional[str]
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind == KIND_WRITE
-
-    @property
-    def is_ifetch(self) -> bool:
-        return self.kind == KIND_IFETCH
-
-
-class LineEvent(NamedTuple):
-    """One demand line access: ``(pc, line_addr, is_write, l1_hit, l2_hit)``."""
-
-    pc: int
-    line_addr: int
-    is_write: bool
-    l1_hit: bool
-    l2_hit: bool
 
 
 class RefBatch:
@@ -97,8 +66,7 @@ class RefBatch:
     """
 
     __slots__ = ("pcs", "addrs", "sizes", "kinds", "cycles",
-                 "trace_table", "trace_runs", "addr_or", "max_size",
-                 "_events")
+                 "trace_table", "trace_runs", "addr_or", "max_size")
 
     def __init__(self, pcs: List[int], addrs: List[int], sizes: List[int],
                  kinds: List[int], cycles: List[int],
@@ -115,7 +83,6 @@ class RefBatch:
         self.trace_runs = trace_runs
         self.addr_or = addr_or
         self.max_size = max_size
-        self._events: Optional[List[MemoryEvent]] = None
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -138,21 +105,11 @@ class RefBatch:
             out.extend([tid] * (stop - start))
         return out
 
-    def to_events(self) -> List[MemoryEvent]:
-        """The legacy array-of-structs view (cached on first call)."""
-        events = self._events
-        if events is None:
-            events = list(map(MemoryEvent, self.pcs, self.addrs, self.sizes,
-                              self.kinds, self.cycles, self.trace_ids()))
-            self._events = events
-        return events
-
 
 class LineBatch:
     """A batch of resolved demand line accesses, one column per field."""
 
-    __slots__ = ("pcs", "line_addrs", "writes", "l1_hits", "l2_hits",
-                 "_events")
+    __slots__ = ("pcs", "line_addrs", "writes", "l1_hits", "l2_hits")
 
     def __init__(self, pcs: List[int], line_addrs: List[int],
                  writes: List[bool], l1_hits: List[bool],
@@ -162,16 +119,6 @@ class LineBatch:
         self.writes = writes
         self.l1_hits = l1_hits
         self.l2_hits = l2_hits
-        self._events: Optional[List[LineEvent]] = None
 
     def __len__(self) -> int:
         return len(self.pcs)
-
-    def to_events(self) -> List[LineEvent]:
-        """The legacy array-of-structs view (cached on first call)."""
-        events = self._events
-        if events is None:
-            events = list(map(LineEvent, self.pcs, self.line_addrs,
-                              self.writes, self.l1_hits, self.l2_hits))
-            self._events = events
-        return events

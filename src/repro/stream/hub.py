@@ -13,11 +13,8 @@ buffers are *stable list objects* (drain copies them out and clears
 them in place), so producers may hoist the bound ``append`` methods
 once and keep using them across drains.
 
-Delivery prefers the columnar hooks (``on_batch`` / ``on_line_batch``)
-and falls back to the legacy per-event-tuple hooks (``on_refs`` /
-``on_lines``) via ``batch.to_events()`` for consumers that predate the
-SoA format; the materialized tuple list is cached on the batch, so many
-legacy consumers share one materialization.
+Delivery calls each consumer's columnar hook (``on_batch`` /
+``on_line_batch``) directly.
 
 Producers check ``stream.consumers`` (a plain list) before emitting, so
 a stream with no consumers costs a single truthiness test per event
@@ -31,21 +28,19 @@ free per event.
 Quarantine: a consumer whose callback raises must never take the
 producing run down -- the paper's degrade-gracefully contract.  Both
 hubs catch exceptions from delivery callbacks (``on_batch`` /
-``on_refs`` / ``on_line_batch`` / ``on_lines`` / ``on_epoch`` /
-``finish``), detach the offending consumer on the spot, and record a
-:class:`QuarantineRecord` (stage, error, traceback) on
-``stream.quarantined``; the run then completes with the remaining
-consumers and the outcome reports the quarantine instead of
-propagating it (see ``_StreamPlan.derived`` in :mod:`repro.runners`).
-Each quarantine increments the ``stream.quarantined`` telemetry
-counter.  ``detach`` is idempotent so cleanup code that detaches its
-consumer at end of run (e.g. hardware counters) stays safe when
-quarantine already removed it.
+``on_line_batch`` / ``on_epoch`` / ``finish``), detach the offending
+consumer on the spot, and record a :class:`QuarantineRecord` (stage,
+error, traceback) on ``stream.quarantined``; the run then completes
+with the remaining consumers and the outcome reports the quarantine
+instead of propagating it (see ``_StreamPlan.derived`` in
+:mod:`repro.runners`).  Each quarantine increments the
+``stream.quarantined`` telemetry counter.  ``detach`` is idempotent so
+cleanup code that detaches its consumer at end of run (e.g. hardware
+counters) stays safe when quarantine already removed it.
 """
 
 from __future__ import annotations
 
-import os
 import traceback
 from dataclasses import dataclass
 from functools import reduce
@@ -63,32 +58,13 @@ from .events import LineBatch, RefBatch
 #: peak buffer memory without measurable throughput gain.
 BATCH_SIZE = 4096
 
-#: Environment override for the default batch size of newly built
-#: streams (hierarchies and runners pick it up automatically).
-BATCH_ENV_VAR = "UMI_STREAM_BATCH"
-
-
-def default_batch_size() -> int:
-    """:data:`BATCH_SIZE`, unless ``UMI_STREAM_BATCH`` overrides it."""
-    raw = os.environ.get(BATCH_ENV_VAR)
-    if not raw:
-        return BATCH_SIZE
-    try:
-        size = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{BATCH_ENV_VAR} must be an integer, got {raw!r}") from None
-    if size < 1:
-        raise ValueError(f"{BATCH_ENV_VAR} must be >= 1, got {size}")
-    return size
-
 
 @dataclass
 class QuarantineRecord:
     """One detached consumer and the failure that condemned it."""
 
     consumer: Any
-    stage: str  # "on_batch" | "on_refs" | "on_lines" | ... | "finish"
+    stage: str  # "on_batch" | "on_line_batch" | "on_epoch" | "finish"
     error: str
     traceback: str
 
@@ -96,9 +72,7 @@ class QuarantineRecord:
 class RefStream:
     """Batched columnar fan-out of raw memory references."""
 
-    def __init__(self, batch_size: Optional[int] = None) -> None:
-        if batch_size is None:
-            batch_size = default_batch_size()
+    def __init__(self, batch_size: int = BATCH_SIZE) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
@@ -239,16 +213,10 @@ class RefStream:
         if batch is None:
             return
         for consumer in list(self.consumers):
-            on_batch = getattr(consumer, "on_batch", None)
             try:
-                if on_batch is not None:
-                    on_batch(batch)
-                else:
-                    consumer.on_refs(batch.to_events())
+                consumer.on_batch(batch)
             except Exception as exc:  # noqa: BLE001 -- quarantined
-                self._quarantine(
-                    consumer,
-                    "on_batch" if on_batch is not None else "on_refs", exc)
+                self._quarantine(consumer, "on_batch", exc)
 
     def epoch(self, info: Optional[Dict[str, Any]] = None) -> None:
         """Flush, then signal an analysis epoch to every consumer."""
@@ -273,9 +241,7 @@ class RefStream:
 class LineStream:
     """Batched columnar fan-out of resolved line accesses."""
 
-    def __init__(self, batch_size: Optional[int] = None) -> None:
-        if batch_size is None:
-            batch_size = default_batch_size()
+    def __init__(self, batch_size: int = BATCH_SIZE) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
@@ -332,17 +298,10 @@ class LineStream:
         del self.l1_hits[:]
         del self.l2_hits[:]
         for consumer in list(self.consumers):
-            on_batch = getattr(consumer, "on_line_batch", None)
             try:
-                if on_batch is not None:
-                    on_batch(batch)
-                else:
-                    consumer.on_lines(batch.to_events())
+                consumer.on_line_batch(batch)
             except Exception as exc:  # noqa: BLE001 -- quarantined
-                self._quarantine(
-                    consumer,
-                    "on_line_batch" if on_batch is not None else "on_lines",
-                    exc)
+                self._quarantine(consumer, "on_line_batch", exc)
 
     def finish(self) -> None:
         self.drain()

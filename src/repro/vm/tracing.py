@@ -62,13 +62,6 @@ class MemoryTraceRecorder(RefConsumer):
                 rows = rows[:room]
         records.extend(rows)
 
-    def on_refs(self, batch) -> None:
-        """Stream delivery; records data references only."""
-        record = self
-        for ev in batch:
-            if ev[3] != KIND_IFETCH:
-                record(ev[0], ev[1], ev[3] == KIND_WRITE, ev[2])
-
     def __call__(self, pc: int, addr: int, is_write: bool,
                  size: int) -> None:
         if self.limit is not None and len(self.records) >= self.limit:

@@ -47,11 +47,12 @@ class ObserveTap(RefConsumer):
     def __init__(self, observe):
         self._observe = observe
 
-    def on_refs(self, batch):
-        for ev in batch:
-            if ev.kind != KIND_IFETCH:
-                self._observe(ev.pc, ev.addr, ev.kind == KIND_WRITE,
-                              ev.size)
+    def on_batch(self, batch):
+        observe = self._observe
+        for pc, addr, size, kind in zip(batch.pcs, batch.addrs,
+                                        batch.sizes, batch.kinds):
+            if kind != KIND_IFETCH:
+                observe(pc, addr, kind == KIND_WRITE, size)
 
 
 def run_reference_cachegrind(program):

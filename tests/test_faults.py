@@ -458,7 +458,7 @@ class TestFusedMemberAttribution:
 class TestConsumerQuarantine:
     def test_hub_detaches_thrower_and_keeps_going(self, global_telemetry):
         class Boom:
-            def on_refs(self, batch):
+            def on_batch(self, batch):
                 raise RuntimeError("boom")
 
             def finish(self):
@@ -471,19 +471,19 @@ class TestConsumerQuarantine:
         stream.emit(0, 64, 4, 0, 0)
         stream.emit(4, 128, 4, 0, 1)
         stream.finish()
-        assert len(survivor.events) == 2
+        assert len(survivor.pcs) == 2
         assert boom not in stream.consumers
         record = stream.quarantined[0]
-        assert record.consumer is boom and record.stage == "on_refs"
+        assert record.consumer is boom and record.stage == "on_batch"
         assert "RuntimeError: boom" in record.error
         assert counter("stream.quarantined") == 1
 
     def test_detach_after_quarantine_is_idempotent(self, global_telemetry):
         class Boom:
-            def on_refs(self, batch):
+            def on_batch(self, batch):
                 raise RuntimeError("boom")
 
-            def on_lines(self, batch):
+            def on_line_batch(self, batch):
                 raise RuntimeError("boom")
 
             def finish(self):

@@ -65,8 +65,8 @@ class TestHierarchyAccess:
             def __init__(self):
                 self.events = []
 
-            def on_lines(self, batch):
-                self.events.extend((ev.l1_hit, ev.l2_hit) for ev in batch)
+            def on_line_batch(self, batch):
+                self.events.extend(zip(batch.l1_hits, batch.l2_hits))
 
         collector = Collector()
         hier = tiny()

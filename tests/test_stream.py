@@ -16,11 +16,10 @@ from repro.memory import MemoryHierarchy, get_machine
 from repro.memory.flat import FlatMemory
 from repro.runners import run_native
 from repro.stream import (
-    BATCH_ENV_VAR, BATCH_SIZE, KIND_IFETCH, KIND_READ, KIND_WRITE,
-    BuildContext, CollectingRefConsumer, ConsumerRegistry, LineConsumer,
-    MemoryEvent, NullRefConsumer, RefBatch, RefConsumer, RefStream,
-    LineStream, consumer_names, create_consumer, default_batch_size,
-    spec_safe_consumer_names,
+    BATCH_SIZE, KIND_IFETCH, KIND_READ, KIND_WRITE, REGISTRY, BuildContext,
+    CollectingRefConsumer, ConsumerEntry, ConsumerRegistry, LineBatch,
+    LineConsumer, NullRefConsumer, RefBatch, RefConsumer, RefStream,
+    LineStream, consumer_names, create_consumer, spec_safe_consumer_names,
 )
 from repro.stream.consumers import DinTraceWriter
 from repro.vm import Interpreter
@@ -36,9 +35,9 @@ class TestRefStream:
         stream.attach(collector)
         for i in range(3):
             stream.emit(1, i * 8, 8, KIND_READ, i)
-        assert collector.events == []  # still buffered
+        assert collector.pcs == []  # still buffered
         stream.emit(1, 24, 8, KIND_READ, 3)
-        assert len(collector.events) == 4
+        assert len(collector.pcs) == 4
 
     def test_drain_flushes_partial_batch(self):
         collector = CollectingRefConsumer()
@@ -46,8 +45,9 @@ class TestRefStream:
         stream.attach(collector)
         stream.emit(7, 0x100, 8, KIND_WRITE, 42)
         stream.drain()
-        assert collector.events == [
-            MemoryEvent(7, 0x100, 8, KIND_WRITE, 42, None)]
+        assert (collector.pcs, collector.addrs, collector.sizes,
+                collector.kinds, collector.cycles, collector.trace_ids) \
+            == ([7], [0x100], [8], [KIND_WRITE], [42], [None])
 
     def test_events_arrive_in_program_order(self):
         collector = CollectingRefConsumer()
@@ -56,7 +56,7 @@ class TestRefStream:
         for i in range(7):
             stream.emit(i, i, 8, KIND_READ, i)
         stream.finish()
-        assert [ev.pc for ev in collector.events] == list(range(7))
+        assert collector.pcs == list(range(7))
 
     def test_epoch_flushes_then_signals(self):
         collector = CollectingRefConsumer()
@@ -64,7 +64,7 @@ class TestRefStream:
         stream.attach(collector)
         stream.emit(1, 0, 8, KIND_READ, 0)
         stream.epoch({"kind": "analyzer"})
-        assert len(collector.events) == 1
+        assert len(collector.pcs) == 1
         assert collector.epochs == [{"kind": "analyzer"}]
 
     def test_finish_flushes_and_closes(self):
@@ -73,7 +73,7 @@ class TestRefStream:
         stream.attach(collector)
         stream.emit(1, 0, 8, KIND_READ, 0)
         stream.finish()
-        assert len(collector.events) == 1
+        assert len(collector.pcs) == 1
         assert collector.finished
 
     def test_detach_drains_first(self):
@@ -82,10 +82,10 @@ class TestRefStream:
         stream.attach(collector)
         stream.emit(1, 0, 8, KIND_READ, 0)
         stream.detach(collector)
-        assert len(collector.events) == 1
+        assert len(collector.pcs) == 1
         stream.emit(1, 8, 8, KIND_READ, 1)
         stream.drain()
-        assert len(collector.events) == 1  # no longer attached
+        assert len(collector.pcs) == 1  # no longer attached
 
     def test_wants_ifetch_tracks_attachments(self):
         class Hungry(RefConsumer):
@@ -110,8 +110,7 @@ class TestRefStream:
         stream.trace_id = None
         stream.emit(1, 16, 8, KIND_READ, 2)
         stream.drain()
-        assert [ev.trace_id for ev in collector.events] \
-            == [None, "0x10@5", None]
+        assert collector.trace_ids == [None, "0x10@5", None]
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
@@ -202,7 +201,7 @@ class TestBatchBoundaries:
         assert stream.quarantined[0].consumer is bomb
         assert bomb not in stream.consumers
         # Survivors saw every event, in order.
-        assert [ev.pc for ev in healthy.events] == list(range(6))
+        assert healthy.pcs == list(range(6))
         assert healthy.finished
 
     def test_quarantine_in_on_batch_recomputes_wants_ifetch(self):
@@ -220,29 +219,12 @@ class TestBatchBoundaries:
 
 
 class TestBatchSizeConfiguration:
-    """Satellite: per-stream batch size plus the env override."""
+    """Satellite: per-stream batch size, threaded through constructors."""
 
-    def test_env_override_applies_to_new_streams(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "128")
-        assert default_batch_size() == 128
-        assert RefStream().batch_size == 128
-        assert LineStream().batch_size == 128
-
-    def test_explicit_batch_size_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "128")
+    def test_explicit_batch_size(self):
         assert RefStream(batch_size=7).batch_size == 7
-
-    def test_env_override_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "many")
-        with pytest.raises(ValueError, match=BATCH_ENV_VAR):
-            default_batch_size()
-        monkeypatch.setenv(BATCH_ENV_VAR, "0")
-        with pytest.raises(ValueError, match=BATCH_ENV_VAR):
-            default_batch_size()
-
-    def test_empty_env_means_default(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "")
-        assert default_batch_size() == BATCH_SIZE
+        assert LineStream(batch_size=7).batch_size == 7
+        assert LineStream().batch_size == BATCH_SIZE
 
     def test_hierarchy_threads_line_batch_size(self):
         machine = get_machine("pentium4", scale=16)
@@ -272,11 +254,7 @@ class TestRefBatchMechanics:
         assert batch.sizes == [8, 4]
         assert batch.kinds == [KIND_READ, KIND_WRITE]
         assert batch.cycles == [10, 11]
-        assert batch.to_events() == [
-            MemoryEvent(1, 0x100, 8, KIND_READ, 10, None),
-            MemoryEvent(2, 0x108, 4, KIND_WRITE, 11, None),
-        ]
-        assert batch.to_events() is batch.to_events()  # cached view
+        assert batch.trace_ids() == [None, None]
 
     def test_seal_statistics_cover_the_columns(self):
         def produce(stream):
@@ -324,6 +302,13 @@ class TestRefBatchMechanics:
             assert set(b.trace_ids()) == {"0x40@2"}
 
 
+def _rows(collector):
+    """A collector's columns as per-event ``(pc, addr, size, kind,
+    cycle, trace_id)`` rows, for whole-stream comparisons."""
+    return list(zip(collector.pcs, collector.addrs, collector.sizes,
+                    collector.kinds, collector.cycles, collector.trace_ids))
+
+
 class TestInterpreterProduction:
     def test_ifetch_emitted_only_on_demand(self, tiny_machine_with_icache):
         program, _ = build_stream_program(n=16, reps=1)
@@ -334,20 +319,21 @@ class TestInterpreterProduction:
             hier = MemoryHierarchy(tiny_machine_with_icache)
             Interpreter(program, hier, stream=stream).run_native()
             stream.finish()
-            return consumer.events
+            return _rows(consumer)
 
         plain = run(CollectingRefConsumer())
-        assert all(ev.kind != KIND_IFETCH for ev in plain)
+        assert all(kind != KIND_IFETCH for _, _, _, kind, _, _ in plain)
 
         class HungryCollector(CollectingRefConsumer):
             wants_ifetch = True
 
         with_ifetch = run(HungryCollector())
-        ifetches = [ev for ev in with_ifetch if ev.kind == KIND_IFETCH]
+        ifetches = [row for row in with_ifetch if row[3] == KIND_IFETCH]
         assert ifetches
-        assert all(ev.pc == 0 and ev.size == 64 for ev in ifetches)
+        assert all(pc == 0 and size == 64
+                   for pc, _, size, _, _, _ in ifetches)
         # The data-reference substream is identical either way.
-        data = [ev for ev in with_ifetch if ev.kind != KIND_IFETCH]
+        data = [row for row in with_ifetch if row[3] != KIND_IFETCH]
         assert data == plain
 
     def test_trace_ids_stamped_by_runtime(self):
@@ -360,8 +346,7 @@ class TestInterpreterProduction:
         sim = DynamoSim(program, FlatMemory(), stream=stream)
         sim.run()
         stream.finish()
-        tids = {ev.trace_id for ev in collector.events
-                if ev.trace_id is not None}
+        tids = {tid for tid in collector.trace_ids if tid is not None}
         assert tids, "trace-cache hits never stamped a trace id"
         assert all("@" in tid for tid in tids)
 
@@ -372,6 +357,63 @@ class TestInterpreterProduction:
         piped = run_native(program, machine, consumers=("shadow-nopf",))
         assert piped.cycles == bare.cycles
         assert piped.steps == bare.steps
+
+
+class TestDeliveryContract:
+    """``on_batch`` / ``on_line_batch`` are the only delivery hooks: a
+    consumer that lacks its plane's hook fails loudly, never silently
+    receives nothing."""
+
+    class TupleOnly(RefConsumer):
+        """Implements a per-event-tuple hook the hubs never call."""
+
+        def on_refs(self, batch):
+            raise AssertionError("unreachable")
+
+    def test_base_ref_hook_names_class_and_hook(self):
+        with pytest.raises(NotImplementedError,
+                           match="TupleOnly must implement on_batch"):
+            self.TupleOnly().on_batch(RefBatch(
+                [1], [0], [8], [KIND_READ], [0], (None,), ((0, 0),)))
+
+    def test_base_line_hook_names_class_and_hook(self):
+        class Silent(LineConsumer):
+            pass
+
+        with pytest.raises(NotImplementedError,
+                           match="Silent must implement on_line_batch"):
+            Silent().on_line_batch(
+                LineBatch([1], [0], [False], [True], [True]))
+
+    def test_hub_quarantines_consumer_without_the_hook(self):
+        stream = RefStream(batch_size=1)
+        stream.attach(self.TupleOnly())
+        stream.emit(1, 0, 8, KIND_READ, 0)
+        (record,) = stream.quarantined
+        assert record.stage == "on_batch"
+        assert "NotImplementedError" in record.error
+
+    @pytest.mark.parametrize("plane,consumer_cls,hook", [
+        ("refs", TupleOnly, "on_batch"),
+        ("lines", NullRefConsumer, "on_line_batch"),
+        ("refs", object, "on_batch"),
+    ])
+    def test_runner_rejects_consumer_without_its_plane_hook(
+            self, monkeypatch, plane, consumer_cls, hook):
+        # Registered straight into the process registry's table so that
+        # monkeypatch removes it again (the built-in name set is pinned).
+        name = "hookless-test-consumer"
+        monkeypatch.setitem(REGISTRY._entries, name, ConsumerEntry(
+            name=name, plane=plane, factory=lambda context: consumer_cls(),
+            spec_safe=False, doc=""))
+        program, _ = build_stream_program(n=16, reps=1)
+        machine = get_machine("pentium4", scale=16)
+        with pytest.raises(ValueError) as excinfo:
+            run_native(program, machine, consumers=(name,))
+        message = str(excinfo.value)
+        assert repr(name) in message
+        assert repr(plane) in message
+        assert hook in message
 
 
 class TestRegistry:
@@ -471,19 +513,18 @@ class TestBuiltinConsumers:
         Interpreter(program, FlatMemory(), stream=stream).run_native()
         stream.finish()
         refs = list(replay_din(sink.getvalue().splitlines()))
-        data = [ev for ev in collector.events if ev.kind != KIND_IFETCH]
-        assert refs == [(ev.kind == KIND_WRITE, ev.addr) for ev in data]
+        assert refs == [(kind == KIND_WRITE, addr) for addr, kind
+                        in zip(collector.addrs, collector.kinds)
+                        if kind != KIND_IFETCH]
 
     def test_profile_recorder_groups_by_trace(self):
         from repro.stream.consumers import ProfileRecorderConsumer
 
         rec = ProfileRecorderConsumer(max_ops=4, max_rows=8)
-        batch = [
-            MemoryEvent(0x10, 0x1000, 8, KIND_READ, 0, "0x10@3"),
-            MemoryEvent(0x18, 0x2000, 8, KIND_READ, 1, "0x10@3"),
-            MemoryEvent(0x10, 0x1040, 8, KIND_READ, 2, "0x10@3"),
-        ]
-        rec.on_refs(batch)
+        batch = RefBatch([0x10, 0x18, 0x10], [0x1000, 0x2000, 0x1040],
+                         [8, 8, 8], [KIND_READ] * 3, [0, 1, 2],
+                         (None, "0x10@3"), ((0, 1),))
+        rec.on_batch(batch)
         rec.finish()
         assert rec.summary() == {"traces": 1, "rows": 1}
         profile = rec.profiles["0x10"]

@@ -7,6 +7,7 @@ observer lists -- so a regression shows up as a named file/line, not as
 silently duplicated plumbing.
 """
 
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -67,5 +68,31 @@ def test_producer_hot_paths_stay_columnar():
                 offenders.append(
                     f"{path.relative_to(SRC)}:{lineno}: {line.strip()}")
     assert not offenders, (
-        "producers append columns; per-event records are for consumers "
-        "that asked for the legacy view:\n" + "\n".join(offenders))
+        "producers append columns, never per-event records:\n"
+        + "\n".join(offenders))
+
+
+#: The per-event tuple contract the columnar stream replaced: its
+#: delivery hooks and the materializer feeding them.  Matched as whole
+#: words, so e.g. ``invocation_refs`` is not an offender.
+FORBIDDEN_TUPLE_HOOKS = re.compile(r"\b(on_refs|on_lines|to_events)\b")
+
+#: The per-event records; only the pipeline bench's frozen
+#: array-of-structs yardstick may still build them.
+FORBIDDEN_TUPLE_RECORDS = re.compile(r"MemoryEvent|LineEvent")
+RECORDS_ALLOWED_IN = SRC / "stream" / "reference.py"
+
+
+def test_one_stream_contract():
+    """``on_batch`` / ``on_line_batch`` are the only delivery hooks."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if FORBIDDEN_TUPLE_HOOKS.search(line) or (
+                    path != RECORDS_ALLOWED_IN
+                    and FORBIDDEN_TUPLE_RECORDS.search(line)):
+                offenders.append(
+                    f"{path.relative_to(SRC)}:{lineno}: {line.strip()}")
+    assert not offenders, (
+        "the per-event tuple stream contract is gone; consumers "
+        "implement on_batch / on_line_batch:\n" + "\n".join(offenders))

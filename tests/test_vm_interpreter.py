@@ -300,8 +300,9 @@ class TestAccounting:
         interp.run_native()
         stream.finish()
         assert collector.finished
-        refs = [(ev.addr, ev.kind == KIND_WRITE)
-                for ev in collector.events if ev.kind != KIND_IFETCH]
+        refs = [(addr, kind == KIND_WRITE)
+                for addr, kind in zip(collector.addrs, collector.kinds)
+                if kind != KIND_IFETCH]
         assert len(refs) == 2
         assert refs[0][1] is False and refs[1][1] is True
         assert refs[1][0] == refs[0][0] + 8

@@ -23,11 +23,12 @@ class RefRecorder(RefConsumer):
     def __init__(self):
         self.refs = []
 
-    def on_refs(self, batch):
-        for ev in batch:
-            if ev.kind != KIND_IFETCH:
-                self.refs.append(
-                    (ev.pc, ev.addr, ev.kind == KIND_WRITE, ev.size))
+    def on_batch(self, batch):
+        self.refs.extend(
+            (pc, addr, kind == KIND_WRITE, size)
+            for pc, addr, size, kind in zip(batch.pcs, batch.addrs,
+                                            batch.sizes, batch.kinds)
+            if kind != KIND_IFETCH)
 
     # The heap sits in [HEAP_BASE, STACK_TOP); stack/spill traffic
     # (esp/ebp) lives just below STACK_BASE and must be excluded.
