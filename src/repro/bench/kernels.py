@@ -3,8 +3,12 @@
 Five kernels cover the repo's hot paths:
 
 ``interpreter``
-    Threaded-dispatch VM executing an Olden workload against flat
-    memory -- pure dispatch/decode cost, no cache model.
+    The compiled-block VM (:class:`repro.vm.Interpreter`) executing an
+    Olden workload against flat memory -- pure execution cost, no cache
+    model -- versus the retained tuple-dispatch loop
+    (:class:`repro.vm.reference.ReferenceInterpreter`) on the same
+    program, with identical final machine state asserted.  The
+    ``speedup`` meta field is reported but carries no floor.
 ``minisim``
     The analyzer's batch mini cache simulator
     (:class:`repro.core.analyzer.MiniCacheSimulator`) versus the
@@ -181,23 +185,45 @@ def assert_fullsim_equal(opt: CachegrindSimulator,
 
 # -- kernels ------------------------------------------------------------------
 
+def assert_machine_state_equal(opt, ref) -> None:
+    """Identical final machine state from two interpreters, or raise."""
+    for field in ("regs", "memory", "flags", "cycles", "steps", "halted",
+                  "call_stack"):
+        if getattr(opt, field) != getattr(ref, field):
+            raise AssertionError(
+                f"interpreters disagree on final machine {field}")
+
+
 def _bench_interpreter(quick: bool, warmup: int, repeat: int,
                        clock: Clock) -> BenchResult:
     from repro.memory.flat import FlatMemory
     from repro.vm.interpreter import Interpreter
+    from repro.vm.reference import ReferenceInterpreter
     from repro.workloads import get_workload
 
     scale = 0.2 if quick else 0.5
     program = get_workload("em3d").build(scale)
 
-    def run():
-        interp = Interpreter(program, FlatMemory(latency=0))
-        interp.run_native()
-        return interp.state.steps
+    def run_opt():
+        return Interpreter(program, FlatMemory(latency=0)).run_native()
 
-    result = run_benchmark("interpreter", run, warmup=warmup,
+    def run_ref():
+        return ReferenceInterpreter(program,
+                                    FlatMemory(latency=0)).run_native()
+
+    final = run_opt()
+    assert_machine_state_equal(final, run_ref())
+
+    result = run_benchmark("interpreter", run_opt, warmup=warmup,
                            repeat=repeat, clock=clock)
-    result.meta.update(workload="em3d", scale=scale, steps=run())
+    reference = run_benchmark("interpreter.reference", run_ref,
+                              warmup=warmup, repeat=repeat, clock=clock)
+    result.meta.update(
+        workload="em3d", scale=scale, steps=final.steps,
+        reference_median_s=reference.median_s,
+        speedup=(reference.median_s / result.median_s
+                 if result.median_s else 0.0),
+    )
     return result
 
 

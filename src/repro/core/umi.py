@@ -183,7 +183,14 @@ class UMIRuntime:
         when the program halts, so short runs still yield predictions
         (the prototype would simply never act on that residue).
         """
-        runtime_stats = self.dynamo.run()
+        try:
+            runtime_stats = self.dynamo.run()
+        finally:
+            # The hooks refer back to this runtime; dropping them breaks
+            # the runtime -> DynamoSim -> hooks cycle, so a finished run
+            # (its interpreter and machine memory included) is freed by
+            # reference counting instead of waiting for the cyclic GC.
+            self.dynamo.hooks = RuntimeHooks()
         if analyze_at_exit and self.profiles:
             self.stats.exit_drains += 1
             self._telemetry.count("umi.exit_drains",
@@ -292,8 +299,9 @@ class UMIRuntime:
             self._run_analyzer()
             return
         row = profile.new_row()
-        interp.profile_cols = trace.profile_cols
-        interp.profile_row = row
+        context = interp.context
+        context.profile_cols = trace.profile_cols
+        context.profile_row = row
         self._entered_trace = trace
         if self.trace_buffer.allocate():
             # The trace-profile write hit the guard page: the analyzer
@@ -306,9 +314,9 @@ class UMIRuntime:
     def _on_trace_exited(self, trace: Trace) -> None:
         if self._entered_trace is not trace:
             return
-        interp = self.dynamo.interp
-        interp.profile_cols = None
-        interp.profile_row = None
+        context = self.dynamo.interp.context
+        context.profile_cols = None
+        context.profile_row = None
         self._entered_trace = None
         if self._trigger_on_exit:
             self._trigger_on_exit = False

@@ -90,9 +90,6 @@ from .pools import LocalProcessPool, PoolEvent, WorkerPool, make_pool
 from .protocol import Lease
 from .spec import RunSpec
 
-#: Compatibility alias -- the seam's historical private name.
-_attempt_group = attempt_group
-
 #: Signature of the streaming-results callback ``execute_groups``
 #: accepts: ``(group_index, group, payloads)``, invoked as each group
 #: reaches its final state (success or exhausted failure).  The engine

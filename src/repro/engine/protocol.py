@@ -31,7 +31,7 @@ member digests), carries the 1-based retry ``attempt``, the per-group
 wall-clock ``deadline_s``, the serialized fault plan to install before
 executing, and whether telemetry should be recorded.  A
 :class:`LeaseResult`'s ``status``/``value`` pair is exactly what
-:func:`repro.engine.executor._attempt_group` returns -- ``("ok",
+:func:`repro.engine.attempt.attempt_group` returns -- ``("ok",
 payload list)`` or ``("error", failure info)`` -- plus the worker's
 telemetry snapshot, so coordinator-side retry classification and
 telemetry merging are byte-identical across backends.
@@ -163,7 +163,7 @@ class LeaseResult:
     #: longer recognises as granted (stale results from fenced-off
     #: zombie workers).
     epoch: int = 0
-    #: ``"ok"`` or ``"error"`` -- straight from ``_attempt_group``.
+    #: ``"ok"`` or ``"error"`` -- straight from ``attempt_group``.
     status: str = "ok"
     #: Payload list (ok) or failure-info dict (error); JSON-safe.
     value: Any = None

@@ -316,13 +316,10 @@ def main(argv: Optional[list] = None) -> int:
         "--name", default="",
         help="proposed worker id (coordinator may uniquify it)")
     parser.add_argument(
-        "--dial-timeout", type=float, default=None, metavar="S",
+        "--dial-timeout", type=float, default=DIAL_TIMEOUT_S, metavar="S",
         help="overall bound on each dial's jittered retry loop, "
              "initial connection and rejoins alike (default "
              f"{DIAL_TIMEOUT_S:g})")
-    parser.add_argument(
-        "--connect-timeout", type=float, default=None, metavar="S",
-        help="deprecated alias for --dial-timeout")
     parser.add_argument(
         "--no-rejoin", action="store_true",
         help="exit on the first disconnect instead of redialing")
@@ -334,10 +331,6 @@ def main(argv: Optional[list] = None) -> int:
         parser.error(f"invalid --connect address {args.connect!r} "
                      f"(expected HOST:PORT)")
     timeout = args.dial_timeout
-    if timeout is None:
-        timeout = args.connect_timeout
-    if timeout is None:
-        timeout = DIAL_TIMEOUT_S
     log = None if args.quiet else print
     signal.signal(signal.SIGTERM, _sigterm_drain)
     try:

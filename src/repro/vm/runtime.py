@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from repro.isa import Program
-from repro.isa.instructions import RET, SWITCH
 from repro.telemetry import get_telemetry
 
 from .cost_model import DEFAULT_COST_MODEL, CostModel
 from .interpreter import (
-    DEFAULT_MAX_STEPS, ExecutionLimitExceeded, Interpreter,
+    DEFAULT_MAX_STEPS, INDIRECT_TERMINATORS, ExecutionLimitExceeded,
+    Interpreter,
 )
 from .trace import Trace
 from .trace_builder import TraceBuilder
@@ -112,6 +112,11 @@ class DynamoSim:
         self.hooks = hooks if hooks is not None else RuntimeHooks()
         self.interp = Interpreter(program, memsys, cost_model,
                                   stream=stream)
+        # Hoisted for the per-pass trace loop.
+        self._state = self.interp.state
+        self._context = self.interp.context
+        self._stream = stream
+        self._trace_branch_discount = cost_model.trace_branch_discount
         self.builder = TraceBuilder(
             program,
             hot_threshold=self.config.hot_threshold,
@@ -121,6 +126,8 @@ class DynamoSim:
         self.stats = RuntimeStats()
         self._translated: Set[str] = set()
         self._linked: Set[Tuple[str, str]] = set()
+        # Per-trace compiled block functions and on-trace successors.
+        self._trace_functions: Dict[Trace, tuple] = {}
         self._next_sample: Optional[int] = (
             self.config.sample_period if self.config.sample_period else None
         )
@@ -150,36 +157,82 @@ class DynamoSim:
         return stats
 
     def _run(self) -> RuntimeStats:
-        state = self.state
+        interp = self.interp
+        state = self._state
+        context = self._context
         config = self.config
+        model = self.cost_model
+        stats = self.stats
+        hooks = self.hooks
+        builder = self.builder
+        traces = self.traces
+        trace_heads = traces.keys()
+        linked = self._linked
+        translated = self._translated
+        block_function = interp.block_function
+        execute_trace = self._execute_trace
+        dispatch_cost = model.dispatch_cost
+        indirect_cost = model.indirect_lookup_cost
+        translation_cost = model.block_translation_cost
+        enable_traces = config.enable_traces
+        sample_period = config.sample_period
+        max_steps = config.max_steps
+        indirect = INDIRECT_TERMINATORS
         label: Optional[str] = self.program.entry
         prev_label: Optional[str] = None
         prev_indirect = False
         last_trace: Optional[Trace] = None
-        max_steps = config.max_steps
+        next_sample = self._next_sample
 
         while label is not None:
-            trace = self.traces.get(label) if not self.builder.recording else None
+            # The transition into ``label``: the first block and every
+            # unlinked direct transition go through the dispatcher,
+            # which links the two fragments; indirect ones pay the
+            # lookup.
+            if prev_indirect:
+                state.cycles += indirect_cost
+                stats.indirect_lookups += 1
+            elif prev_label is None:
+                state.cycles += dispatch_cost
+                stats.dispatches += 1
+            else:
+                pair = (prev_label, label)
+                if pair not in linked:
+                    state.cycles += dispatch_cost
+                    stats.dispatches += 1
+                    linked.add(pair)
+            prev_label = label
+
+            trace = (traces.get(label) if builder.recording_head is None
+                     else None)
             if trace is not None:
-                self._charge_transition(prev_label, label, prev_indirect)
-                prev_label = label
-                label = self._execute_trace(trace)
-                prev_indirect = self.interp.last_terminator_op in (SWITCH, RET)
+                label = execute_trace(trace)
                 last_trace = trace
             else:
-                self._charge_transition(prev_label, label, prev_indirect)
-                prev_label = label
-                label = self._execute_block(label)
-                prev_indirect = self.interp.last_terminator_op in (SWITCH, RET)
+                if label not in translated:
+                    translated.add(label)
+                    state.cycles += translation_cost
+                    stats.blocks_translated += 1
+                stats.block_executions += 1
+                if enable_traces:
+                    builder.note_block_execution(label, trace_heads)
+                executed = label
+                label = block_function(executed)()
+                if builder.recording_head is not None:
+                    built = builder.record_step(
+                        executed, context.last_terminator_op, label,
+                        trace_heads)
+                    if built is not None:
+                        self._install_trace(built)
                 last_trace = None
+            prev_indirect = context.last_terminator_op in indirect
 
-            if self._next_sample is not None and state.cycles >= self._next_sample:
-                period = config.sample_period
-                while state.cycles >= self._next_sample:
-                    self._next_sample += period
-                    self.stats.timer_samples += 1
-                    state.cycles += self.cost_model.sample_interrupt_cost
-                    self.hooks.timer_sample(last_trace)
+            if next_sample is not None and state.cycles >= next_sample:
+                while state.cycles >= next_sample:
+                    next_sample += sample_period
+                    stats.timer_samples += 1
+                    state.cycles += model.sample_interrupt_cost
+                    hooks.timer_sample(last_trace)
 
             if state.steps > max_steps:
                 raise ExecutionLimitExceeded(
@@ -187,52 +240,11 @@ class DynamoSim:
                     f"instructions under DynamoSim"
                 )
 
-        self.stats.total_steps = state.steps
-        return self.stats
+        self._next_sample = next_sample
+        stats.total_steps = state.steps
+        return stats
 
     # -- internals ---------------------------------------------------------------
-
-    def _charge_transition(self, prev: Optional[str], nxt: str,
-                           indirect: bool) -> None:
-        state = self.state
-        if prev is None:
-            state.cycles += self.cost_model.dispatch_cost
-            self.stats.dispatches += 1
-            return
-        if indirect:
-            state.cycles += self.cost_model.indirect_lookup_cost
-            self.stats.indirect_lookups += 1
-            return
-        pair = (prev, nxt)
-        if pair not in self._linked:
-            # First direct transition goes through the dispatcher, which
-            # then links the two fragments; later transitions are free.
-            state.cycles += self.cost_model.dispatch_cost
-            self.stats.dispatches += 1
-            self._linked.add(pair)
-
-    def _execute_block(self, label: str) -> Optional[str]:
-        state = self.state
-        if label not in self._translated:
-            self._translated.add(label)
-            state.cycles += self.cost_model.block_translation_cost
-            self.stats.blocks_translated += 1
-        self.stats.block_executions += 1
-
-        builder = self.builder
-        if self.config.enable_traces:
-            builder.note_block_execution(label, self.traces.keys())
-
-        next_label = self.interp.execute_block(label)
-
-        if builder.recording:
-            trace = builder.record_step(
-                label, self.interp.last_terminator_op, next_label,
-                self.traces.keys(),
-            )
-            if trace is not None:
-                self._install_trace(trace)
-        return next_label
 
     def _install_trace(self, trace: Trace) -> None:
         self.traces[trace.head] = trace
@@ -245,44 +257,50 @@ class DynamoSim:
 
     def _execute_trace(self, trace: Trace) -> Optional[str]:
         """One pass through a trace; returns the exit label."""
-        interp = self.interp
-        state = self.state
+        state = self._state
+        stats = self.stats
         trace.entries += 1
-        self.stats.trace_entries += 1
+        stats.trace_entries += 1
         steps_before = state.steps
 
-        stream = interp.stream
+        stream = self._stream
         if stream is not None:
             # Unique per pass, so stream consumers can group references
             # into profile rows without extra boundary markers.
             stream.trace_id = f"{trace.head}@{trace.entries}"
         self.hooks.trace_entered(trace)
-        if trace.prefetch_map:
-            interp.prefetch_map = trace.prefetch_map
+        prefetch_map = trace.prefetch_map
+        if prefetch_map:
+            self._context.prefetch_map = prefetch_map
 
-        labels = trace.block_labels
-        n = len(labels)
-        decoded = interp.trace_decoded(trace.head, labels)
-        discount = self.cost_model.trace_branch_discount
-        i = 0
-        exit_label: Optional[str] = None
-        while True:
-            next_label = interp.execute_decoded(decoded[i])
-            if next_label is None:
-                exit_label = None
-                break
-            if i + 1 < n and next_label == labels[i + 1]:
+        compiled = self._trace_functions.get(trace)
+        if compiled is None:
+            compiled = self._compile_trace(trace)
+        functions, successors = compiled
+        exit_label = functions[0]()
+        if successors:
+            discount = self._trace_branch_discount
+            last = len(successors)
+            i = 0
+            while i < last and exit_label == successors[i]:
                 # Stayed on the trace: the stitched fragment elides this
                 # branch/layout cost.
                 state.cycles -= discount
                 i += 1
-                continue
-            exit_label = next_label
-            break
+                exit_label = functions[i]()
 
-        interp.prefetch_map = None
+        self._context.prefetch_map = None
         if stream is not None:
             stream.trace_id = None
         self.hooks.trace_exited(trace)
-        self.stats.steps_in_traces += state.steps - steps_before
+        stats.steps_in_traces += state.steps - steps_before
         return exit_label
+
+    def _compile_trace(self, trace: Trace) -> tuple:
+        """A trace's block functions and on-trace successor labels."""
+        block_function = self.interp.block_function
+        compiled = (tuple(block_function(label)
+                          for label in trace.block_labels),
+                    tuple(trace.block_labels[1:]))
+        self._trace_functions[trace] = compiled
+        return compiled

@@ -16,7 +16,7 @@ class MachineState:
     """
 
     __slots__ = ("regs", "memory", "flags", "cycles", "steps", "halted",
-                 "call_stack")
+                 "call_stack", "__weakref__")
 
     def __init__(self, program: Program) -> None:
         if not program.finalized:

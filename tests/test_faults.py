@@ -5,7 +5,7 @@ through the serial executor and through the parallel executor must
 produce byte-identical ``FailedRun`` payloads and identical retry /
 timeout counter values, because fault decisions are pure functions of
 ``(seed, kind, spec digest, attempt)`` and failures are captured at the
-single ``_attempt_group`` seam both executors share.  The rest covers
+single ``attempt_group`` seam both executors share.  The rest covers
 each fault class end to end: crash-then-retry recovery, deadline
 classification, consumer quarantine, torn-record detection and repair,
 checkpoint/resume, interrupt handling, and the CLI surface.

@@ -121,3 +121,51 @@ class TestCrossMode:
         on = run_native(prog, machine, hw_prefetch=True)
         assert on.hw_counters["l2_misses"] < off.hw_counters["l2_misses"]
         assert on.cycles < off.cycles
+
+
+class TestFinishedRunsAreFreed:
+    """A finished run's interpreter and machine state hold no reference
+    cycle, so reference counting frees them the moment the run returns
+    (the cyclic GC is disabled here to prove it)."""
+
+    @pytest.fixture
+    def states(self, monkeypatch):
+        import gc
+        import weakref
+
+        import repro.runners as runners_module
+        import repro.vm.runtime as runtime_module
+        from repro.vm import Interpreter
+
+        refs = []
+
+        class Recorded(Interpreter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append((weakref.ref(self), weakref.ref(self.state)))
+
+        monkeypatch.setattr(runners_module, "Interpreter", Recorded)
+        monkeypatch.setattr(runtime_module, "Interpreter", Recorded)
+        gc.collect()
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("run", [
+        lambda p: run_native(p, MACHINE, with_cachegrind=True,
+                             counter_sample_size=64),
+        lambda p: run_dynamo(p, MACHINE),
+        lambda p: run_umi(p, MACHINE, with_cachegrind=True,
+                          consumers=("profile-recorder",)),
+        lambda p: run_umi(p, MACHINE,
+                          umi_config=UMIConfig(enable_sw_prefetch=True)),
+    ], ids=["native", "dynamo", "umi", "umi-prefetch"])
+    def test_state_dies_with_the_run(self, program, states, run):
+        outcome = run(program)
+        assert outcome.steps > 0
+        assert len(states) == 1
+        interp, state = states[0]
+        assert interp() is None
+        assert state() is None
