@@ -165,6 +165,11 @@ class UMIRuntime:
         self.profile_archive: list = []
         self._entered_trace: Optional[Trace] = None
         self._trigger_on_exit = False
+        # Event-driven selection counts every entry of a clean trace, so
+        # in that mode every trace stays hooked; otherwise only
+        # instrumented traces are.
+        self._hook_clean_traces = (self.config.use_sampling
+                                   and self.config.sampling_mode == "event")
         # Telemetry: one shared label dict so disabled-mode calls cost a
         # single attribute check, not a dict allocation per event.
         self._telemetry = get_telemetry()
@@ -232,6 +237,7 @@ class UMIRuntime:
     # -- region selection ------------------------------------------------------------
 
     def _on_trace_created(self, trace: Trace) -> None:
+        trace.hooked = self._hook_clean_traces
         if not self.config.use_sampling:
             self._instrument_trace(trace)
 
@@ -270,11 +276,15 @@ class UMIRuntime:
         else:
             profile = self.instrumentor.instrument(trace)
         if profile is not None:
+            # The instrumented copy carries the prolog/epilog.
+            trace.hooked = True
             self.profiles[trace.head] = profile
 
     # -- the instrumented-trace prolog/epilog -----------------------------------------
 
     def _on_trace_entered(self, trace: Trace) -> None:
+        # Called only for hooked traces: instrumented ones, plus every
+        # trace under event-driven selection.
         if not trace.instrumented:
             # Event-driven region selection: every Nth entry of a trace
             # counts as one sample toward its frequency threshold.
@@ -381,6 +391,7 @@ class UMIRuntime:
                 if self.config.retain_profiles:
                     self.profile_archive.append(profile)
             self.instrumentor.swap_to_clone(trace)
+            trace.hooked = self._hook_clean_traces
             del self.profiles[head]
         self.trace_buffer.drain()
 

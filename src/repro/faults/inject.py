@@ -52,7 +52,8 @@ class FaultyConsumerProxy:
     Duck-types the :class:`~repro.stream.consumer.RefConsumer` /
     :class:`~repro.stream.consumer.LineConsumer` surface and delegates
     everything to the wrapped consumer, so planes, summaries and the
-    ``wants_ifetch`` opt-in behave exactly as the real consumer's --
+    ``wants_ifetch`` / ``wants_trace_ids`` opt-ins behave exactly as the
+    real consumer's --
     until batch ``fail_batch`` arrives, when it raises
     :class:`InjectedConsumerFault` (and the hub quarantines it).
     """
@@ -63,6 +64,7 @@ class FaultyConsumerProxy:
         self._fail_batch = fail_batch
         self._batches = 0
         self.wants_ifetch = getattr(consumer, "wants_ifetch", False)
+        self.wants_trace_ids = getattr(consumer, "wants_trace_ids", False)
 
     def _deliver(self, method: str, batch: Any) -> None:
         self._batches += 1

@@ -860,33 +860,7 @@ class Cache:
         for cache_set in self._sets:
             cache_set.clear()
 
-    # -- replacement-state snapshots (analyzer memoization) ------------------
-
-    def state_snapshot(self):
-        """Copy of the full replacement state, or ``None`` if the dict
-        engine is active.  Stats are *not* included -- callers that
-        restore a snapshot account for stats separately (the analyzer
-        replays a stats delta).
-        """
-        if not self._fast:
-            return None
-        return (
-            list(self._tags), list(self._stamps), list(self._order),
-            list(self._ready), list(self._pref), list(self._dirty),
-            list(self._mru), dict(self._where), list(self._set_len),
-            self._fill_seq, self._plain, self._plain_timing,
-        )
-
-    def state_restore(self, snapshot) -> None:
-        """Reinstate a :meth:`state_snapshot` copy (fast engine only)."""
-        (self._tags, self._stamps, self._order, self._ready, self._pref,
-         self._dirty, self._mru, self._where, self._set_len,
-         self._fill_seq, self._plain, self._plain_timing) = (
-            list(snapshot[0]), list(snapshot[1]), list(snapshot[2]),
-            list(snapshot[3]), list(snapshot[4]), list(snapshot[5]),
-            list(snapshot[6]), dict(snapshot[7]), list(snapshot[8]),
-            snapshot[9], snapshot[10], snapshot[11],
-        )
+    # -- replacement-state deltas (analyzer memoization) ----------------------
 
     def state_pre_capture(self):
         """Residency baseline for a later :meth:`state_delta_for`."""

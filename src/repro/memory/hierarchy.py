@@ -157,9 +157,9 @@ class MemoryHierarchy:
         the line up once in the L1's ``line -> slot`` map and retires a
         hit right here on the L1's columns, exactly as
         :meth:`Cache.probe` would.  The columns are read through the
-        cache on every call because ``flush``/``state_restore`` rebind
-        them.  Everything else goes through ``probe``; every L1 miss
-        goes to :meth:`_miss`.
+        cache on every call because ``flush`` rebinds them.  Everything
+        else goes through ``probe``; every L1 miss goes to
+        :meth:`_miss`.
         """
         line_bits = self._line_bits
         line_addr = addr >> line_bits

@@ -36,6 +36,11 @@ class RefConsumer:
     #: wants it, keeping the default data-only stream cheap.
     wants_ifetch: bool = False
 
+    #: Set True to receive trace ids (``batch.iter_runs()`` /
+    #: ``batch.trace_ids()``).  The runtime stamps pass ids only when
+    #: an attached consumer wants them; otherwise every id is ``None``.
+    wants_trace_ids: bool = False
+
     def on_batch(self, batch: RefBatch) -> None:
         """One columnar batch of raw references, in program order."""
         raise NotImplementedError(
@@ -80,6 +85,8 @@ class CollectingRefConsumer(RefConsumer):
     """Accumulates every event column; test/debug helper, not for long
     runs.  ``pcs`` .. ``cycles`` and ``trace_ids`` are parallel lists
     spanning every batch delivered so far."""
+
+    wants_trace_ids = True
 
     def __init__(self) -> None:
         self.pcs: List[int] = []

@@ -187,6 +187,8 @@ class ProfileRecorderConsumer(RefConsumer):
     (``trace_id is None``) are not profiled, as in the prototype.
     """
 
+    wants_trace_ids = True
+
     def __init__(self, max_ops: int = 16, max_rows: int = 64) -> None:
         self.max_ops = max_ops
         self.max_rows = max_rows

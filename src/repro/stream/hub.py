@@ -20,10 +20,13 @@ Producers check ``stream.consumers`` (a plain list) before emitting, so
 a stream with no consumers costs a single truthiness test per event
 site, same as the ad-hoc observer lists it replaced.
 
-Trace ids are interned per batch: ``stream.trace_id`` is a property
-whose setter records a ``(buffer_offset, table_index)`` run boundary
-instead of stamping every event, so stamping is O(1) per trace pass and
-free per event.
+Trace ids are opt-in and interned per batch.  The runtime stamps
+``stream.trace_id`` only while ``stream.wants_trace_ids`` is true (some
+attached consumer declares ``wants_trace_ids``, recomputed on attach,
+detach and quarantine, like ``wants_ifetch``); otherwise every batch's
+run table is the single ``None`` run.  The property's setter records a
+``(buffer_offset, table_index)`` run boundary instead of stamping every
+event, so stamping is O(1) per trace pass and free per event.
 
 Quarantine: a consumer whose callback raises must never take the
 producing run down -- the paper's degrade-gracefully contract.  Both
@@ -81,6 +84,8 @@ class RefStream:
         self.quarantined: List[QuarantineRecord] = []
         #: True when any attached consumer wants ifetch events.
         self.wants_ifetch = False
+        #: True when any attached consumer reads trace ids.
+        self.wants_trace_ids = False
         #: The column buffers.  Producers append to these directly (and
         #: may hoist the bound ``append`` methods); all five must stay
         #: the same length and the list objects are never replaced.
@@ -100,8 +105,7 @@ class RefStream:
 
     def attach(self, consumer: RefConsumer) -> RefConsumer:
         self.consumers.append(consumer)
-        if getattr(consumer, "wants_ifetch", False):
-            self.wants_ifetch = True
+        self._recompute_wants()
         return consumer
 
     def detach(self, consumer: RefConsumer) -> None:
@@ -111,8 +115,14 @@ class RefStream:
         self.drain()
         if consumer in self.consumers:
             self.consumers.remove(consumer)
+        self._recompute_wants()
+
+    def _recompute_wants(self) -> None:
+        consumers = self.consumers
         self.wants_ifetch = any(
-            getattr(c, "wants_ifetch", False) for c in self.consumers)
+            getattr(c, "wants_ifetch", False) for c in consumers)
+        self.wants_trace_ids = any(
+            getattr(c, "wants_trace_ids", False) for c in consumers)
 
     def _quarantine(self, consumer: RefConsumer, stage: str,
                     exc: Exception) -> None:
@@ -122,8 +132,7 @@ class RefStream:
             traceback=traceback.format_exc(),
         ))
         self.consumers.remove(consumer)
-        self.wants_ifetch = any(
-            getattr(c, "wants_ifetch", False) for c in self.consumers)
+        self._recompute_wants()
         get_telemetry().count("stream.quarantined")
 
     # -- trace-id stamping -------------------------------------------------
@@ -132,8 +141,10 @@ class RefStream:
     def trace_id(self) -> Optional[str]:
         """Current trace pass label (``"<head>@<entry>"``) or ``None``.
 
-        Setting it records a run boundary at the current buffer offset;
-        events are never individually stamped.
+        The runtime sets it only while :attr:`wants_trace_ids` is true,
+        so with no consumer reading ids it stays ``None``.  Setting it
+        records a run boundary at the current buffer offset; events are
+        never individually stamped.
         """
         return self._trace_table[self._tid]
 

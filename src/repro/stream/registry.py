@@ -20,6 +20,11 @@ constructible from the build context alone and their ``summary()`` must
 be a small JSON-safe dict (it is persisted in the result store).
 Consumers needing extra arguments (an output path, say) register with
 ``spec_safe=False`` and read ``context.options``.
+
+A third-party refs consumer sees data references only unless it opts
+in: declare ``wants_ifetch`` to also receive instruction fetches, and
+``wants_trace_ids`` to receive trace ids; otherwise every id is
+``None``.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 :func:`compile_block` turns one basic block into the code object of a
 zero-argument function that executes the block and returns the next
 label.  The block is first decoded into a hashable value
-(:func:`decode_block`); that value is compiled once per process and
-cached, so the many interpreters a sweep builds for the same program
-share every code object.  The generated source embeds constants only
-through ``repr`` of ints, ``None`` and labels, and has no opcode
-dispatch:
+(:func:`decode_block`); each value is compiled once per process per
+block label and cached, so the many interpreters a sweep builds for
+the same program share every code object.  The code is named after the
+label, so a profiler shows each block as its own row.  The generated
+source embeds constants only through ``repr`` of ints, ``None`` and
+labels, and has no opcode dispatch:
 
 * operands are literals;
 * the base costs of the instructions between two memory accesses are
@@ -119,8 +120,11 @@ _ALU_OPERATORS = {ADD: "+", SUB: "-", MUL: "*", AND: "&", OR: "|", XOR: "^"}
 _CC_OPERATORS = {CC_EQ: "==", CC_NE: "!=", CC_LT: "<", CC_LE: "<=",
                  CC_GT: ">"}  # anything else is CC_GE
 
-#: Decoded block value -> compiled code object, shared by every
-#: interpreter in the process.
+#: Decoded block value extended by the block's label -> compiled code
+#: object named after the label, shared by every interpreter in the
+#: process.  The label is part of the key so that binding a block stays
+#: one probe; it extends the value rather than wrapping it, so a key
+#: costs no extra tuple.
 _CODE_CACHE: Dict[tuple, CodeType] = {}
 
 #: Entries kept before the oldest is dropped.  An entry with its key
@@ -331,16 +335,18 @@ def _block_source(ops: tuple, lines) -> str:
 
 def compile_block(block, cost_model: CostModel,
                   models_ifetch: bool) -> CodeType:
-    """The code object of one basic block (cached per process)."""
+    """The code object of one basic block, named after its label
+    (cached per process)."""
     decoded = decode_block(block, cost_model, models_ifetch)
-    code = _CODE_CACHE.get(decoded)
+    key = (*decoded, block.label)
+    code = _CODE_CACHE.get(key)
     if code is None:
         namespace: dict = {}
         exec(compile(_block_source(*decoded), "<compiled block>", "exec"),
              {"__builtins__": builtins}, namespace)
-        code = namespace["block"].__code__
+        code = namespace["block"].__code__.replace(co_name=block.label)
         with _CODE_CACHE_LOCK:
             if len(_CODE_CACHE) >= CODE_CACHE_LIMIT:
                 del _CODE_CACHE[next(iter(_CODE_CACHE))]
-            _CODE_CACHE[decoded] = code
+            _CODE_CACHE[key] = code
     return code

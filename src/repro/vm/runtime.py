@@ -10,6 +10,11 @@ state's cycle counter via the cost model.
 UMI plugs in through :class:`RuntimeHooks`: trace creation, trace
 entry/exit (where profiling rows are managed), and the periodic timer
 sample used by the region selector.
+
+A trace pass pays only for what it uses: the entry/exit hooks fire only
+for traces the client marked ``hooked``, the stream's trace id is
+stamped only when a consumer declares ``wants_trace_ids``, and a trace
+that exits to its own head over a linked branch is re-entered directly.
 """
 
 from __future__ import annotations
@@ -30,16 +35,24 @@ from .trace_builder import TraceBuilder
 
 
 class RuntimeHooks:
-    """Callbacks a client (UMI) can override.  Defaults do nothing."""
+    """Callbacks a client (UMI) can override.  Defaults do nothing.
+
+    ``trace_entered`` and ``trace_exited`` fire only around passes of
+    traces whose ``hooked`` flag is set (the client sets it, typically
+    in ``trace_created``); whether a pass calls ``trace_exited`` is
+    decided by the flag's value at entry.
+    """
 
     def trace_created(self, trace: Trace) -> None:
         """A new trace was placed in the trace cache."""
 
     def trace_entered(self, trace: Trace) -> None:
-        """Control entered a trace (the instrumentation prolog point)."""
+        """Control entered a hooked trace (the instrumentation prolog
+        point)."""
 
     def trace_exited(self, trace: Trace) -> None:
-        """Control left a trace after one pass."""
+        """Control left a trace that was hooked at entry, after one
+        pass."""
 
     def timer_sample(self, trace: Optional[Trace]) -> None:
         """A program-counter sampling timer tick fired.
@@ -207,6 +220,18 @@ class DynamoSim:
                      else None)
             if trace is not None:
                 label = execute_trace(trace)
+                head = trace.head
+                if label == head and (head, head) in linked:
+                    # Linked self-loop: re-enter the trace directly
+                    # while the back branch is direct, no timer tick is
+                    # due and the step limit holds.  Nothing records in
+                    # this state, so the trace cache cannot change.
+                    while (label == head
+                           and context.last_terminator_op not in indirect
+                           and (next_sample is None
+                                or state.cycles < next_sample)
+                           and state.steps <= max_steps):
+                        label = execute_trace(trace)
                 last_trace = trace
             else:
                 if label not in translated:
@@ -264,11 +289,14 @@ class DynamoSim:
         steps_before = state.steps
 
         stream = self._stream
-        if stream is not None:
+        stamped = stream is not None and stream.wants_trace_ids
+        if stamped:
             # Unique per pass, so stream consumers can group references
             # into profile rows without extra boundary markers.
             stream.trace_id = f"{trace.head}@{trace.entries}"
-        self.hooks.trace_entered(trace)
+        hooked = trace.hooked
+        if hooked:
+            self.hooks.trace_entered(trace)
         prefetch_map = trace.prefetch_map
         if prefetch_map:
             self._context.prefetch_map = prefetch_map
@@ -289,10 +317,12 @@ class DynamoSim:
                 i += 1
                 exit_label = functions[i]()
 
-        self._context.prefetch_map = None
-        if stream is not None:
+        if prefetch_map:
+            self._context.prefetch_map = None
+        if stamped:
             stream.trace_id = None
-        self.hooks.trace_exited(trace)
+        if hooked:
+            self.hooks.trace_exited(trace)
         stats.steps_in_traces += state.steps - steps_before
         return exit_label
 

@@ -19,8 +19,8 @@ class Trace:
 
     __slots__ = (
         "head", "block_labels", "blocks", "loops_to_head", "entries",
-        "instrumented", "profile_cols", "prefetch_map", "sample_count",
-        "delinquency_threshold", "analyzer_invocations",
+        "hooked", "instrumented", "profile_cols", "prefetch_map",
+        "sample_count", "delinquency_threshold", "analyzer_invocations",
     )
 
     def __init__(self, head: str, blocks: List[BasicBlock],
@@ -34,6 +34,9 @@ class Trace:
         #: (the common loop-trace case).
         self.loops_to_head = loops_to_head
         self.entries = 0
+        #: whether DynamoSim calls the client's entry/exit hooks around
+        #: each pass; a clean trace pays no per-pass hook call.
+        self.hooked = False
         # -- UMI state ----------------------------------------------------
         self.instrumented = False
         #: pc -> address-profile column for instrumented memory operations.

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.umi as umi_module
 from repro.core import UMIConfig, UMIRuntime
 from repro.memory import CacheConfig, MachineConfig
 from repro.vm import Interpreter, RuntimeConfig
@@ -190,6 +191,23 @@ class TestEventDrivenSampling:
         assert timer.instrumentation.profiled_pcs & \
             event.instrumentation.profiled_pcs
 
+    def test_event_mode_selects_what_every_pass_hooking_did(self):
+        """Event mode hooks every trace, so its selection is unchanged:
+        the values are pinned from the runtime that called the entry
+        hook on every pass of every trace."""
+        program, _ = build_chase_program(n=128, reps=16)
+        _, result = run_umi(program, use_sampling=True,
+                            sampling_mode="event", event_sample_period=16,
+                            frequency_threshold=4)
+        assert result.instrumentation.profiled_pcs == {4194320}
+        assert result.instrumentation.traces_instrumented == 7
+        assert result.instrumentation.clone_swaps == 7
+        assert result.umi_stats.address_profile_triggers == 6
+        assert result.umi_stats.exit_drains == 1
+        assert result.predicted_delinquent == {4194320}
+        assert result.cycles == 155978
+        assert result.runtime_stats.trace_entries == 2056
+
     def test_invalid_mode_rejected(self):
         import pytest as _pytest
         from repro.core import UMIConfig
@@ -197,3 +215,46 @@ class TestEventDrivenSampling:
             UMIConfig(sampling_mode="magic")
         with _pytest.raises(ValueError):
             UMIConfig(event_sample_period=0)
+
+
+class TestHookedTraces:
+    """DynamoSim calls the entry/exit hooks only for hooked traces: the
+    instrumented ones, and every trace under event-driven selection."""
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        calls = {"instrumented": 0, "clean": 0}
+        original = umi_module._UMIHooks.trace_entered
+
+        def counting(hooks, trace):
+            calls["instrumented" if trace.instrumented else "clean"] += 1
+            original(hooks, trace)
+
+        monkeypatch.setattr(umi_module._UMIHooks, "trace_entered",
+                            counting)
+        return calls
+
+    def test_no_sampling_hooks_only_instrumented_passes(self, entries):
+        program, _ = build_stream_program(n=256, reps=16)
+        _, result = run_umi(program)
+        assert entries["clean"] == 0
+        assert 0 < entries["instrumented"] \
+            < result.runtime_stats.trace_entries
+
+    def test_timer_sampling_hooks_only_instrumented_passes(self, entries):
+        program, _ = build_chase_program(n=128, reps=16)
+        _, result = run_umi(program, use_sampling=True,
+                            frequency_threshold=8)
+        assert result.instrumentation.traces_instrumented >= 1
+        assert entries["clean"] == 0
+        assert 0 < entries["instrumented"] \
+            < result.runtime_stats.trace_entries
+
+    def test_event_sampling_hooks_every_pass(self, entries):
+        program, _ = build_stream_program(n=256, reps=16)
+        _, result = run_umi(program, use_sampling=True,
+                            sampling_mode="event", event_sample_period=16,
+                            frequency_threshold=8)
+        assert entries["clean"] > 0
+        assert (entries["clean"] + entries["instrumented"]
+                == result.runtime_stats.trace_entries)

@@ -497,3 +497,30 @@ def test_code_cache_is_shared_and_bounded(monkeypatch):
         assert compiled == reference
         assert compiled["regs"][0] == imm
         assert len(compiler._CODE_CACHE) <= 2
+
+
+def test_compiled_blocks_are_named_after_their_labels(monkeypatch):
+    """Each block's code carries its label as ``co_name`` (so profilers
+    show one row per block); identical bodies under different labels
+    get their own code objects, and rebinding reuses the cached one."""
+    import cProfile
+    import pstats
+
+    import repro.vm.compiler as compiler
+
+    monkeypatch.setattr(compiler, "_CODE_CACHE", {})
+    body = [("alu_imm", ADD, 0, 1)]
+    program = build_program([(body, ("halt",)), (body, ("halt",))])
+    interp = Interpreter(program, FlatMemory())
+    b0, b1 = interp.block_function("b0"), interp.block_function("b1")
+    assert (b0.__code__.co_name, b1.__code__.co_name) == ("b0", "b1")
+    assert b0.__code__.co_code == b1.__code__.co_code
+    assert b0.__code__ is not b1.__code__
+    assert (Interpreter(program, FlatMemory()).block_function("b0")
+            .__code__ is b0.__code__)
+
+    profiler = cProfile.Profile()
+    profiler.runcall(Interpreter(program, FlatMemory()).run_native)
+    names = {name for filename, _, name in pstats.Stats(profiler).stats
+             if filename == "<compiled block>"}
+    assert {"entry", "b0"} <= names

@@ -129,6 +129,8 @@ class TestHooks:
 
         class Recorder(RuntimeHooks):
             def trace_created(self, trace):
+                # Entry/exit fire only for traces the client hooks.
+                trace.hooked = True
                 events.append(("created", trace.head))
 
             def trace_entered(self, trace):
@@ -146,6 +148,48 @@ class TestHooks:
         assert "created" in kinds
         assert kinds.count("entered") == kinds.count("exited")
         assert kinds.count("entered") > 10
+
+    def test_unhooked_traces_make_no_entry_or_exit_calls(self):
+        calls = []
+
+        class Counter(RuntimeHooks):
+            def trace_entered(self, trace):
+                calls.append(("entered", trace.head))
+
+            def trace_exited(self, trace):
+                calls.append(("exited", trace.head))
+
+        program, _ = build_stream_program(n=64, reps=2)
+        dyn = DynamoSim(program, FlatMemory(),
+                        config=RuntimeConfig(hot_threshold=5),
+                        hooks=Counter())
+        stats = dyn.run()
+        assert stats.trace_entries > 10
+        assert calls == []
+
+    def test_exit_follows_the_flag_at_entry(self):
+        """Unhooking a trace in its prolog still fires that pass's exit
+        (UMI's mid-prolog swap to the clone); the next pass is clean."""
+        events = []
+
+        class Unhooker(RuntimeHooks):
+            def trace_created(self, trace):
+                trace.hooked = True
+
+            def trace_entered(self, trace):
+                events.append("entered")
+                trace.hooked = False
+
+            def trace_exited(self, trace):
+                events.append("exited")
+
+        program, _ = build_stream_program(n=64, reps=2)
+        dyn = DynamoSim(program, FlatMemory(),
+                        config=RuntimeConfig(hot_threshold=5),
+                        hooks=Unhooker())
+        stats = dyn.run()
+        assert stats.trace_entries > 10
+        assert events == ["entered", "exited"]
 
     def test_timer_samples_fire_with_period(self):
         ticks = []
