@@ -29,7 +29,9 @@ from repro.faults import (
     FaultPlan, InjectedCrash, active_fault_plan, install_fault_plan,
 )
 from repro.memory import get_machine
-from repro.runners import run_mode, run_native_fused
+from repro.runners import (
+    MODE_KWARGS, OBSERVER_KWARGS, RunOutcome, run_fused,
+)
 from repro.serialize import outcome_to_dict
 from repro.telemetry import get_telemetry
 from repro.workloads import get_workload
@@ -37,19 +39,36 @@ from repro.workloads import get_workload
 from .spec import RunSpec
 
 
-def execute_spec(spec: RunSpec):
+def _observers(spec: RunSpec) -> Dict[str, Any]:
+    """The observer fields of ``spec`` that its mode takes (a dynamo
+    run takes no Cachegrind rider; only native runs take counters)."""
+    accepted = MODE_KWARGS[spec.mode]
+    return {name: getattr(spec, name) for name in OBSERVER_KWARGS
+            if name in accepted}
+
+
+def execute_group(group: Sequence[RunSpec]) -> List[RunOutcome]:
+    """Run one fusion group once; one live outcome per member, in order.
+
+    Members share an execution identity
+    (:func:`~repro.engine.fusion.fusion_key`), so the first member's
+    execution fields stand for all of them and each member contributes
+    only its observers.
+    """
+    first = group[0]
+    program = get_workload(first.workload).build(first.scale)
+    machine = get_machine(first.machine, scale=first.machine_scale)
+    options: Dict[str, Any] = {}
+    if first.mode == "umi":
+        options["umi_config"] = first.umi_config()
+    return run_fused(program, machine, first.mode,
+                     [_observers(spec) for spec in group],
+                     hw_prefetch=first.hw_prefetch, **options)
+
+
+def execute_spec(spec: RunSpec) -> RunOutcome:
     """Run one spec to a live :class:`RunOutcome` (current process)."""
-    program = get_workload(spec.workload).build(spec.scale)
-    machine = get_machine(spec.machine, scale=spec.machine_scale)
-    kwargs: Dict[str, Any] = {"hw_prefetch": spec.hw_prefetch,
-                              "consumers": spec.consumers}
-    if spec.mode == "native":
-        kwargs["with_cachegrind"] = spec.with_cachegrind
-        kwargs["counter_sample_size"] = spec.counter_sample_size
-    elif spec.mode == "umi":
-        kwargs["with_cachegrind"] = spec.with_cachegrind
-        kwargs["umi_config"] = spec.umi_config()
-    return run_mode(spec.mode, program, machine, **kwargs)
+    return execute_group([spec])[0]
 
 
 def execute_spec_payload(spec: RunSpec) -> Dict[str, Any]:
@@ -60,30 +79,14 @@ def execute_spec_payload(spec: RunSpec) -> Dict[str, Any]:
 def execute_group_payloads(group: Sequence[RunSpec]) -> List[Dict[str, Any]]:
     """Run one fusion group; one payload per member spec, in order.
 
-    A multi-member group (see :mod:`repro.engine.fusion`) executes the
-    shared workload once via :func:`repro.runners.run_native_fused`;
-    singletons take the ordinary per-spec path.  A failure while
-    serializing one member's outcome is tagged with that member's index
+    Every group, singleton or fused and in any mode, executes once via
+    :func:`repro.runners.run_fused`.  A failure while serializing one
+    member's outcome is tagged with that member's index
     (``umi_member_index``) so the executor can blame the right spec; a
     failure in the shared execution itself stays untagged.
     """
-    if len(group) == 1:
-        return [execute_spec_payload(group[0])]
-    first = group[0]
-    program = get_workload(first.workload).build(first.scale)
-    machine = get_machine(first.machine, scale=first.machine_scale)
-    variants = [
-        {
-            "counter_sample_size": spec.counter_sample_size,
-            "with_cachegrind": spec.with_cachegrind,
-            "consumers": spec.consumers,
-        }
-        for spec in group
-    ]
-    outcomes = run_native_fused(program, machine, variants,
-                                hw_prefetch=first.hw_prefetch)
     payloads = []
-    for index, outcome in enumerate(outcomes):
+    for index, outcome in enumerate(execute_group(group)):
         try:
             payloads.append(outcome_to_dict(outcome))
         except Exception as exc:
@@ -92,29 +95,17 @@ def execute_group_payloads(group: Sequence[RunSpec]) -> List[Dict[str, Any]]:
     return payloads
 
 
-def _execute_timed(spec: RunSpec) -> Dict[str, Any]:
-    """One spec under an ``executor.spec`` span (if telemetry is on)."""
-    telemetry = get_telemetry()
-    if not telemetry.enabled:
-        return execute_spec_payload(spec)
-    with telemetry.span("executor.spec",
-                        labels={"workload": spec.workload},
-                        digest=spec.digest()[:12], spec=spec.describe()):
-        return execute_spec_payload(spec)
-
-
 def _execute_group_timed(group: Sequence[RunSpec]) -> List[Dict[str, Any]]:
     """One fusion group under an ``executor.spec`` span."""
-    if len(group) == 1:
-        return [_execute_timed(group[0])]
     telemetry = get_telemetry()
     if not telemetry.enabled:
         return execute_group_payloads(group)
     spec = group[0]
+    fused = {"fused": len(group)} if len(group) > 1 else {}
     with telemetry.span("executor.spec",
                         labels={"workload": spec.workload},
                         digest=spec.digest()[:12], spec=spec.describe(),
-                        fused=len(group)):
+                        **fused):
         return execute_group_payloads(group)
 
 

@@ -1,38 +1,45 @@
 """Fusion planning: collapse compatible specs into shared executions.
 
-Two native specs that agree on *what runs* -- workload, iteration
-scale, machine model, machine scale and hardware-prefetcher setting --
-differ only in which passive observers are attached (hardware-counter
-sampling configuration, a Cachegrind observer, stream consumers).
-Since observers never perturb the simulated execution, one run can
-serve them all: :func:`repro.runners.run_native_fused` executes once
-and splits per-variant outcomes back out.
+Specs that agree on every field except the passive observers they
+attach -- hardware-counter sampling configuration, a Cachegrind
+observer, stream consumers -- denote the same simulated execution, in
+every mode.  Observers never perturb it, so one run can serve them
+all: :func:`repro.runners.run_fused` executes once and splits
+per-member outcomes back out, each stored under its member's digest.
 
 :func:`plan_groups` partitions a wavefront of missing specs into such
-groups; every non-native spec (and any native spec with a unique key)
-stays a singleton group.  Grouping preserves first-appearance order,
-and members keep their submission order within a group, so executors
-remain deterministic.
+groups.  Grouping preserves first-appearance order, and members keep
+their submission order within a group, so executors remain
+deterministic.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import dataclasses
+from operator import attrgetter
+from typing import List, Sequence, Tuple
+
+from repro.runners import OBSERVER_KWARGS
 
 from .spec import RunSpec
 
+#: Every spec field that can change what executes: all of them but the
+#: observers.  A field added to :class:`RunSpec` later splits keys by
+#: default.
+EXECUTION_FIELDS = tuple(f.name for f in dataclasses.fields(RunSpec)
+                         if f.name not in OBSERVER_KWARGS)
 
-def fusion_key(spec: RunSpec) -> Optional[Tuple]:
-    """The execution identity a native spec shares with its fusables.
+_execution_identity = attrgetter(*EXECUTION_FIELDS)
 
-    ``None`` means the spec cannot fuse (its mode's observers interact
-    with timing: UMI instruments the traces it runs, dynamo's stats are
-    the measurement itself).
+
+def fusion_key(spec: RunSpec) -> Tuple:
+    """The execution identity a spec shares with its fusables.
+
+    Only the mode and its execution fields (workload, scale, machine,
+    machine scale, sampling, prefetch settings, UMI overrides) shape
+    timing; the observer fields never do, in any mode.
     """
-    if spec.mode != "native":
-        return None
-    return (spec.workload, spec.scale, spec.machine,
-            spec.machine_scale, spec.hw_prefetch)
+    return _execution_identity(spec)
 
 
 def plan_groups(specs: Sequence[RunSpec]) -> List[List[RunSpec]]:
@@ -41,9 +48,6 @@ def plan_groups(specs: Sequence[RunSpec]) -> List[List[RunSpec]]:
     index = {}
     for spec in specs:
         key = fusion_key(spec)
-        if key is None:
-            groups.append([spec])
-            continue
         at = index.get(key)
         if at is None:
             index[key] = len(groups)

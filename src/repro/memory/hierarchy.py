@@ -101,6 +101,11 @@ class _PrefetchSink:
                      prefetched=True)
 
 
+#: The instruction-line size the interpreter forms its code-line
+#: addresses with (``pc >> 6``); an L1I must use the same lines.
+CODE_LINE_SIZE = 64
+
+
 class MemoryHierarchy:
     """L1D + L2 + memory, with optional hardware prefetchers at the L2."""
 
@@ -109,6 +114,13 @@ class MemoryHierarchy:
                  line_batch_size: int = BATCH_SIZE) -> None:
         if config.l1.line_size != config.l2.line_size:
             raise ValueError("L1 and L2 line sizes must match in this model")
+        if config.l1i is not None and (
+                config.l1i.line_size != CODE_LINE_SIZE
+                or config.l1i.line_size != config.l2.line_size):
+            raise ValueError(
+                f"L1I line size {config.l1i.line_size} B must equal the "
+                f"L2 line size ({config.l2.line_size} B) and the "
+                f"interpreter's {CODE_LINE_SIZE} B code lines")
         self.config = config
         self.l1 = Cache(config.l1, make_policy(config.replacement))
         self.l2 = Cache(config.l2, make_policy(config.replacement))

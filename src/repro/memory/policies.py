@@ -79,9 +79,11 @@ class RandomPolicy(ReplacementPolicy):
 class BitPLRUPolicy(ReplacementPolicy):
     """Bit pseudo-LRU: one MRU bit per line.
 
-    A hit or fill sets the line's bit; when every bit in the set is set,
-    all the *other* bits are cleared.  The victim is any line with a
-    cleared bit (we pick the lowest-stamped for determinism).
+    A hit or fill sets the line's bit.  Bits are cleared lazily, at
+    eviction: ``victim()`` picks among the lines whose bit is clear,
+    and when every bit in the set is set it first clears them all.
+    The victim is the lowest-stamped candidate, for determinism.  The
+    array engine in :mod:`repro.memory.cache` mirrors this exactly.
     """
 
     name = "plru"

@@ -11,29 +11,30 @@ The paper's experiments compare the same program executed several ways:
 * **cachegrind** -- offline full-trace simulation (no timing).
 
 Each timed mode is a callable registered in :data:`MODES` under its
-mode name; :func:`run_mode` dispatches by name, which is how the
-execution engine (:mod:`repro.engine`) turns a declarative
-:class:`~repro.engine.RunSpec` into a run without a per-mode special
-case.  The historical entry points (``run_native`` et al.) remain as
-the registered callables themselves.
+mode name, and :func:`run_mode` dispatches by name; :data:`MODE_KWARGS`
+names the knobs each mode takes from a declarative
+:class:`~repro.engine.RunSpec`.
 
-Every mode accepts ``consumers``: names resolved through
-:mod:`repro.stream`'s registry into live consumers attached to the
-run's reference / line streams; their ``summary()`` dicts land in
-``RunOutcome.derived``.  Cachegrind piggybacks on any timed run the
-same way (it sees the same reference stream and keeps its own untimed
-cache model), which is how the correlation and delinquency experiments
-avoid a second execution.
+Every mode also accepts passive *observers* (:data:`OBSERVER_KWARGS`):
+``consumers``, names resolved through :mod:`repro.stream`'s registry
+into live consumers attached to the run's reference / line streams
+(their ``summary()`` dicts land in ``RunOutcome.derived``); a
+Cachegrind rider that sees the same reference stream and keeps its own
+untimed cache model; and, for native runs, hardware-counter sets.
+Observers never perturb the simulated execution in any mode (counter
+interrupts are charged to ``cycles`` after the run), which is how the
+correlation and delinquency experiments avoid a second execution.
 
-:func:`run_native_fused` goes further: one native execution feeds
-several requested variants (counter sampling configurations, a
-Cachegrind observer, shadow-hierarchy consumers) simultaneously and
-splits the results back into per-variant :class:`RunOutcome` records.
+:func:`run_fused` is the one place that wires observers to a run: it
+executes once in any mode, feeds every requested variant's observers
+from that execution, and splits the results back into per-variant
+:class:`RunOutcome` records.  The per-mode entry points are its
+one-variant calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple,
 )
@@ -55,9 +56,9 @@ from repro.vm import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_STEPS", "MODES", "MODE_KWARGS", "RunOutcome",
-    "register_mode", "run_cachegrind", "run_dynamo", "run_mode",
-    "run_native", "run_native_fused", "run_umi",
+    "DEFAULT_MAX_STEPS", "MODES", "MODE_KWARGS", "OBSERVER_KWARGS",
+    "RunOutcome", "register_mode", "run_cachegrind", "run_dynamo",
+    "run_fused", "run_mode", "run_native", "run_umi",
 ]
 
 
@@ -218,6 +219,181 @@ def _finish_streams(stream: Optional[RefStream],
         hierarchy.line_stream.finish()
 
 
+#: The observer fields a variant may set.  Observers are passive: they
+#: never touch the simulated execution, so any mix of them rides one run.
+OBSERVER_KWARGS = ("with_cachegrind", "counter_sample_size", "consumers")
+
+
+def _start_native(program: Program, hierarchy: MemoryHierarchy,
+                  stream: Optional[RefStream], cost_model: CostModel,
+                  max_steps: int):
+    interp = Interpreter(program, hierarchy, cost_model, stream=stream)
+
+    def run() -> RunOutcome:
+        interp.run_native(max_steps=max_steps)
+        return RunOutcome(
+            program_name=program.name,
+            mode="native",
+            cycles=interp.state.cycles,
+            steps=interp.state.steps,
+            hw_l2_miss_ratio=hierarchy.l2_miss_ratio(),
+            hw_counters=hierarchy.counters_snapshot(),
+        )
+    return interp.state, run
+
+
+def _start_dynamo(program: Program, hierarchy: MemoryHierarchy,
+                  stream: Optional[RefStream], cost_model: CostModel,
+                  max_steps: int,
+                  runtime_config: Optional[RuntimeConfig] = None):
+    dynamo = DynamoSim(
+        program, hierarchy,
+        config=runtime_config or RuntimeConfig(max_steps=max_steps),
+        cost_model=cost_model,
+        stream=stream,
+    )
+
+    def run() -> RunOutcome:
+        stats = dynamo.run()
+        return RunOutcome(
+            program_name=program.name,
+            mode="dynamo",
+            cycles=dynamo.state.cycles,
+            steps=dynamo.state.steps,
+            hw_l2_miss_ratio=hierarchy.l2_miss_ratio(),
+            hw_counters=hierarchy.counters_snapshot(),
+            runtime_stats=stats,
+        )
+    return dynamo.state, run
+
+
+def _start_umi(program: Program, hierarchy: MemoryHierarchy,
+               stream: Optional[RefStream], cost_model: CostModel,
+               max_steps: int,
+               umi_config: Optional[UMIConfig] = None,
+               runtime_config: Optional[RuntimeConfig] = None):
+    umi = UMIRuntime(
+        program, hierarchy.config,
+        config=umi_config or UMIConfig(),
+        cost_model=cost_model,
+        runtime_config=runtime_config or RuntimeConfig(max_steps=max_steps),
+        hierarchy=hierarchy,
+        stream=stream,
+    )
+
+    def run() -> RunOutcome:
+        result = umi.run()
+        return RunOutcome(
+            program_name=program.name,
+            mode="umi",
+            cycles=result.cycles,
+            steps=result.steps,
+            hw_l2_miss_ratio=result.hardware_l2_miss_ratio,
+            hw_counters=result.hardware_counters,
+            runtime_stats=result.runtime_stats,
+            umi=result,
+        )
+    return umi.state, run
+
+
+#: Mode name -> starter.  A starter builds the mode's simulator over the
+#: shared hierarchy and stream and returns ``(machine state, run)``;
+#: ``run()`` executes to completion and returns the outcome before any
+#: observer's share is added.
+_STARTERS = {"native": _start_native, "dynamo": _start_dynamo,
+             "umi": _start_umi}
+
+
+def _counter_set(state, hierarchy: MemoryHierarchy, cost_model: CostModel,
+                 sample_size: int) -> HardwareCounters:
+    """The Table 1 counter configuration: L2 references plus an L2-miss
+    counter with overflow sampling (``0`` = free-running)."""
+    hw = HardwareCounters(state=state, cost_model=cost_model)
+    hw.program("l2_ref")
+    hw.program("l2_miss", sample_size=sample_size)
+    hw.attach(hierarchy)
+    return hw
+
+
+def run_fused(
+    program: Program,
+    machine: MachineConfig,
+    mode: str,
+    variants: Sequence[Dict[str, Any]],
+    hw_prefetch: bool = False,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    **options: Any,
+) -> List[RunOutcome]:
+    """One execution in ``mode`` serving several observer variants.
+
+    ``variants`` is a sequence of dicts with any of the
+    :data:`OBSERVER_KWARGS` keys: ``counter_sample_size``,
+    ``with_cachegrind`` and ``consumers``.  ``max_steps`` bounds the
+    run in every mode, except that a dynamo/umi ``runtime_config``
+    carries its own bound.  ``options`` are the mode's other execution
+    knobs: ``runtime_config`` for dynamo, ``umi_config`` and
+    ``runtime_config`` for umi.
+
+    The fusion is sound because every observer is passive: the
+    hardware counters observe line events without touching simulator
+    state, Cachegrind keeps its own untimed cache model, and shadow
+    hierarchy consumers replay the recorded per-event cycles -- so each
+    variant's numbers are bit-identical to a standalone run.  Returns
+    one :class:`RunOutcome` per variant, in order; a variant gets
+    ``cachegrind`` only if it asked for it and ``derived`` only for its
+    own consumers.
+    """
+    if not variants:
+        raise ValueError("run_fused needs at least one variant")
+    try:
+        start = _STARTERS[mode]
+    except KeyError:
+        raise ValueError(
+            f"unknown run mode {mode!r}; known: {sorted(_STARTERS)}"
+        ) from None
+    hierarchy = _make_hierarchy(machine, hw_prefetch)
+    any_cachegrind = any(v.get("with_cachegrind") for v in variants)
+    cachegrind = CachegrindSimulator(machine) if any_cachegrind else None
+    plan = _StreamPlan(machine, program,
+                       [name for v in variants
+                        for name in v.get("consumers", ())])
+    stream = RefStream() if (cachegrind or plan.refs) else None
+    if cachegrind is not None:
+        stream.attach(cachegrind)
+    plan.wire(stream, hierarchy)
+    state, run = start(program, hierarchy, stream, cost_model, max_steps,
+                       **options)
+
+    # One counter set per distinct sampling configuration: counting is
+    # passive, so all sets observe the identical line-event stream.
+    counter_sets: Dict[int, HardwareCounters] = {}
+    for v in variants:
+        sample_size = v.get("counter_sample_size")
+        if sample_size is not None and sample_size not in counter_sets:
+            counter_sets[sample_size] = _counter_set(
+                state, hierarchy, cost_model, sample_size)
+
+    base = run()
+    _finish_streams(stream, hierarchy)
+
+    all_derived = plan.derived()
+    outcomes: List[RunOutcome] = []
+    for v in variants:
+        hw = counter_sets.get(v.get("counter_sample_size"))
+        interrupt_cycles = hw.total_interrupt_cycles() if hw else 0
+        outcomes.append(replace(
+            base,
+            cycles=base.cycles + interrupt_cycles,
+            hw_counters=dict(base.hw_counters),
+            cachegrind=cachegrind if v.get("with_cachegrind") else None,
+            counter_interrupt_cycles=interrupt_cycles,
+            derived={name: all_derived[name]
+                     for name in v.get("consumers", ())},
+        ))
+    return outcomes
+
+
 @register_mode("native", spec_kwargs=(
     "hw_prefetch", "with_cachegrind", "counter_sample_size", "consumers"))
 def run_native(
@@ -236,107 +412,14 @@ def run_native(
     overflow sampling (``None`` = no counters, ``0`` = free-running), the
     Table 1 configuration.
     """
-    hierarchy = _make_hierarchy(machine, hw_prefetch)
-    cachegrind = CachegrindSimulator(machine) if with_cachegrind else None
-    plan = _StreamPlan(machine, program, consumers)
-    stream = RefStream() if (cachegrind or plan.refs) else None
-    if cachegrind is not None:
-        stream.attach(cachegrind)
-    plan.wire(stream, hierarchy)
-    interp = Interpreter(program, hierarchy, cost_model, stream=stream)
-    hw = None
-    if counter_sample_size is not None:
-        hw = HardwareCounters(state=interp.state, cost_model=cost_model)
-        hw.program("l2_ref")
-        hw.program("l2_miss", sample_size=counter_sample_size)
-        hw.attach(hierarchy)
-    interp.run_native(max_steps=max_steps)
-    _finish_streams(stream, hierarchy)
-    interrupt_cycles = hw.total_interrupt_cycles() if hw else 0
-    return RunOutcome(
-        program_name=program.name,
-        mode="native",
-        cycles=interp.state.cycles + interrupt_cycles,
-        steps=interp.state.steps,
-        hw_l2_miss_ratio=hierarchy.l2_miss_ratio(),
-        hw_counters=hierarchy.counters_snapshot(),
-        cachegrind=cachegrind,
-        counter_interrupt_cycles=interrupt_cycles,
-        derived=plan.derived(),
-    )
-
-
-def run_native_fused(
-    program: Program,
-    machine: MachineConfig,
-    variants: Sequence[Dict[str, Any]],
-    hw_prefetch: bool = False,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> List[RunOutcome]:
-    """One native execution serving several measurement variants.
-
-    ``variants`` is a sequence of dicts with any of the keys
-    ``counter_sample_size``, ``with_cachegrind`` and ``consumers`` (the
-    same knobs :func:`run_native` takes per run).  The fusion is sound
-    because every attached backend is a passive stream consumer: the
-    hardware counters observe line events without touching simulator
-    state, Cachegrind keeps its own untimed cache model, and shadow
-    hierarchy consumers replay the recorded per-event cycles -- so each
-    variant's numbers are bit-identical to a standalone run.  Returns
-    one :class:`RunOutcome` per variant, in order.
-    """
-    if not variants:
-        raise ValueError("run_native_fused needs at least one variant")
-    hierarchy = _make_hierarchy(machine, hw_prefetch)
-    any_cachegrind = any(v.get("with_cachegrind") for v in variants)
-    cachegrind = CachegrindSimulator(machine) if any_cachegrind else None
-    all_names: List[str] = []
-    for v in variants:
-        all_names.extend(v.get("consumers", ()))
-    plan = _StreamPlan(machine, program, all_names)
-    stream = RefStream() if (cachegrind or plan.refs) else None
-    if cachegrind is not None:
-        stream.attach(cachegrind)
-    plan.wire(stream, hierarchy)
-    interp = Interpreter(program, hierarchy, cost_model, stream=stream)
-
-    # One counter set per distinct sampling configuration: counting is
-    # passive, so all sets observe the identical line-event stream.
-    counter_sets: Dict[int, HardwareCounters] = {}
-    for v in variants:
-        sample_size = v.get("counter_sample_size")
-        if sample_size is None or sample_size in counter_sets:
-            continue
-        hw = HardwareCounters(state=interp.state, cost_model=cost_model)
-        hw.program("l2_ref")
-        hw.program("l2_miss", sample_size=sample_size)
-        hw.attach(hierarchy)
-        counter_sets[sample_size] = hw
-
-    interp.run_native(max_steps=max_steps)
-    _finish_streams(stream, hierarchy)
-
-    all_derived = plan.derived()
-    base_cycles = interp.state.cycles
-    outcomes: List[RunOutcome] = []
-    for v in variants:
-        sample_size = v.get("counter_sample_size")
-        hw = counter_sets.get(sample_size) if sample_size is not None else None
-        interrupt_cycles = hw.total_interrupt_cycles() if hw else 0
-        outcomes.append(RunOutcome(
-            program_name=program.name,
-            mode="native",
-            cycles=base_cycles + interrupt_cycles,
-            steps=interp.state.steps,
-            hw_l2_miss_ratio=hierarchy.l2_miss_ratio(),
-            hw_counters=hierarchy.counters_snapshot(),
-            cachegrind=cachegrind if v.get("with_cachegrind") else None,
-            counter_interrupt_cycles=interrupt_cycles,
-            derived={name: all_derived[name]
-                     for name in v.get("consumers", ())},
-        ))
-    return outcomes
+    return run_fused(
+        program, machine, "native",
+        [{"with_cachegrind": with_cachegrind,
+          "counter_sample_size": counter_sample_size,
+          "consumers": consumers}],
+        hw_prefetch=hw_prefetch, cost_model=cost_model,
+        max_steps=max_steps,
+    )[0]
 
 
 @register_mode("dynamo", spec_kwargs=("hw_prefetch", "consumers"))
@@ -349,28 +432,11 @@ def run_dynamo(
     cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> RunOutcome:
     """Execution under the binary rewriter alone (no UMI)."""
-    hierarchy = _make_hierarchy(machine, hw_prefetch)
-    plan = _StreamPlan(machine, program, consumers)
-    stream = RefStream() if plan.refs else None
-    plan.wire(stream, hierarchy)
-    dynamo = DynamoSim(
-        program, hierarchy,
-        config=runtime_config or RuntimeConfig(),
-        cost_model=cost_model,
-        stream=stream,
-    )
-    stats = dynamo.run()
-    _finish_streams(stream, hierarchy)
-    return RunOutcome(
-        program_name=program.name,
-        mode="dynamo",
-        cycles=dynamo.state.cycles,
-        steps=dynamo.state.steps,
-        hw_l2_miss_ratio=hierarchy.l2_miss_ratio(),
-        hw_counters=hierarchy.counters_snapshot(),
-        runtime_stats=stats,
-        derived=plan.derived(),
-    )
+    return run_fused(
+        program, machine, "dynamo", [{"consumers": consumers}],
+        hw_prefetch=hw_prefetch, cost_model=cost_model,
+        runtime_config=runtime_config,
+    )[0]
 
 
 @register_mode("umi", spec_kwargs=(
@@ -386,35 +452,12 @@ def run_umi(
     cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> RunOutcome:
     """Execution under DynamoSim + UMI."""
-    hierarchy = _make_hierarchy(machine, hw_prefetch)
-    cachegrind = CachegrindSimulator(machine) if with_cachegrind else None
-    plan = _StreamPlan(machine, program, consumers)
-    stream = RefStream() if (cachegrind or plan.refs) else None
-    if cachegrind is not None:
-        stream.attach(cachegrind)
-    plan.wire(stream, hierarchy)
-    umi = UMIRuntime(
-        program, machine,
-        config=umi_config or UMIConfig(),
-        cost_model=cost_model,
-        runtime_config=runtime_config or RuntimeConfig(),
-        hierarchy=hierarchy,
-        stream=stream,
-    )
-    result = umi.run()
-    _finish_streams(stream, hierarchy)
-    return RunOutcome(
-        program_name=program.name,
-        mode="umi",
-        cycles=result.cycles,
-        steps=result.steps,
-        hw_l2_miss_ratio=result.hardware_l2_miss_ratio,
-        hw_counters=result.hardware_counters,
-        runtime_stats=result.runtime_stats,
-        umi=result,
-        cachegrind=cachegrind,
-        derived=plan.derived(),
-    )
+    return run_fused(
+        program, machine, "umi",
+        [{"with_cachegrind": with_cachegrind, "consumers": consumers}],
+        hw_prefetch=hw_prefetch, cost_model=cost_model,
+        umi_config=umi_config, runtime_config=runtime_config,
+    )[0]
 
 
 def run_cachegrind(

@@ -436,6 +436,7 @@ class TestFusedMemberAttribution:
         ex = SerialExecutor(retry=policy(), strict=False)
         with fault_injection(plan):
             results = ex.execute_groups([group])
+        assert all(is_failed_payload(p) for p in results[0])
         assert [p["failed_member"] for p in results[0]] \
             == [group[1].describe()] * 2
 
@@ -443,7 +444,7 @@ class TestFusedMemberAttribution:
         def explode(*_args, **_kwargs):
             raise RuntimeError("shared boom")
 
-        monkeypatch.setattr("repro.engine.attempt.run_native_fused",
+        monkeypatch.setattr("repro.engine.attempt.run_fused",
                             explode)
         group = self._fused_group()
         ex = SerialExecutor(retry=policy(), strict=True)
@@ -453,6 +454,20 @@ class TestFusedMemberAttribution:
         strict_free = SerialExecutor(retry=policy(), strict=False)
         results = strict_free.execute_groups([group])
         assert all(p["failed_member"] is None for p in results[0])
+
+
+class TestFusedUMIMemberAttribution(TestFusedMemberAttribution):
+    """The same attribution contract for a fused UMI group."""
+
+    def _fused_group(self):
+        group = plan_groups([
+            RunSpec.umi(WORKLOAD, SCALE, "pentium4", MACHINE_SCALE,
+                        with_cachegrind=True),
+            RunSpec.umi(WORKLOAD, SCALE, "pentium4", MACHINE_SCALE,
+                        with_cachegrind=True, consumers=("shadow-hwpf",)),
+        ])
+        assert len(group) == 1 and len(group[0]) == 2
+        return group[0]
 
 
 class TestConsumerQuarantine:

@@ -1,21 +1,22 @@
-"""Differential tests for fused run execution (satellite S4).
+"""Differential tests for fused run execution.
 
-A fused native run executes a workload once and serves several spec
-variants (counter sample sizes, Cachegrind piggyback, stream
+A fused run executes a workload once, in any mode, and serves several
+spec variants (counter sample sizes, Cachegrind piggyback, stream
 consumers) from that single pass; a fused UMI run derives the
 prefetch-enabled hardware column from a shadow consumer instead of a
 third execution.  Every figure a fused run produces must be
-bit-identical to the legacy one-execution-per-mode path.
+bit-identical to the one-execution-per-spec path.
 """
 
 import pytest
 
 from repro.engine import RunSpec, execute_group_payloads, \
     execute_spec_payload, fusion_key, plan_groups
+from repro.engine.fusion import EXECUTION_FIELDS
 from repro.experiments import ResultCache
 from repro.experiments import table4
 from repro.memory import get_machine
-from repro.runners import run_native, run_native_fused, run_umi
+from repro.runners import run_fused, run_native, run_umi
 from repro.serialize import outcome_to_dict
 from repro.workloads import get_workload
 
@@ -42,7 +43,7 @@ def test_fused_native_matches_separate_runs(workload):
     """One fused execution == N separate executions, per variant."""
     program = build(workload)
     machine = get_machine("pentium4", scale=MACHINE_SCALE)
-    fused = run_native_fused(program, machine, VARIANTS)
+    fused = run_fused(program, machine, "native", VARIANTS)
     assert len(fused) == len(VARIANTS)
     for variant, outcome in zip(VARIANTS, fused):
         legacy = run_native(program, machine, **variant)
@@ -89,11 +90,41 @@ class TestFusionPlanning:
         other = RunSpec.native("mst", SCALE, "pentium4", MACHINE_SCALE)
         assert fusion_key(self.spec()) != fusion_key(other)
 
-    def test_non_native_never_fuses(self):
-        umi = RunSpec.umi("em3d", SCALE, "pentium4", MACHINE_SCALE)
-        assert fusion_key(umi) is None
-        groups = plan_groups([umi, umi])
-        assert groups == [[umi], [umi]]
+    def test_observer_only_umi_and_dynamo_variants_share_a_key(self):
+        for make in (RunSpec.umi, RunSpec.dynamo):
+            base = make("em3d", SCALE, "pentium4", MACHINE_SCALE)
+            observed = make("em3d", SCALE, "pentium4", MACHINE_SCALE,
+                            with_cachegrind=True,
+                            consumers=("shadow-hwpf",))
+            assert fusion_key(base) == fusion_key(observed)
+            assert plan_groups([base, observed]) == [[base, observed]]
+
+    #: One changed value per execution field of a umi spec.
+    SPLITS = [
+        {"mode": "dynamo"},
+        {"sampling": False},
+        {"sw_prefetch": True},
+        {"hw_prefetch": True},
+        {"umi_overrides": (("frequency_threshold", 32),)},
+        {"machine": "xeon"},
+        {"machine_scale": 8},
+        {"scale": 0.1},
+        {"workload": "mst"},
+    ]
+
+    def test_splits_cover_every_execution_field(self):
+        covered = {name for change in self.SPLITS for name in change}
+        assert covered == set(EXECUTION_FIELDS)
+
+    @pytest.mark.parametrize("change", SPLITS,
+                             ids=lambda change: next(iter(change)))
+    def test_each_execution_field_splits_the_key(self, change):
+        fields = dict(workload="em3d", scale=SCALE, machine="pentium4",
+                      machine_scale=MACHINE_SCALE, mode="umi")
+        base = RunSpec(**fields)
+        other = RunSpec(**{**fields, **change})
+        assert fusion_key(base) != fusion_key(other)
+        assert plan_groups([base, other]) == [[base], [other]]
 
     def test_plan_groups_preserves_order(self):
         a, b = self.spec(), self.spec(counter_sample_size=100)
@@ -106,6 +137,44 @@ class TestFusionPlanning:
         singles = [execute_spec_payload(s) for s in group]
         assert fused == singles
 
+
+    #: The observer shapes the sweeps fuse in umi and dynamo groups.
+    OBSERVER_SHAPES = {
+        "cg+cg-shadow": [
+            {"with_cachegrind": True},
+            {"with_cachegrind": True, "consumers": ("shadow-hwpf",)},
+        ],
+        "bare+cg+cg-shadow": [
+            {},
+            {"with_cachegrind": True},
+            {"with_cachegrind": True, "consumers": ("shadow-hwpf",)},
+        ],
+        "bare+cg-shadow": [
+            {},
+            {"with_cachegrind": True, "consumers": ("shadow-hwpf",)},
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", ["umi", "dynamo"])
+    @pytest.mark.parametrize("shape", sorted(OBSERVER_SHAPES))
+    def test_fused_group_payloads_match_singletons(self, mode, shape):
+        group = [RunSpec("em3d", SCALE, "pentium4", MACHINE_SCALE, mode,
+                         **observers)
+                 for observers in self.OBSERVER_SHAPES[shape]]
+        assert plan_groups(group) == [group]
+        fused = execute_group_payloads(group)
+        singles = [execute_spec_payload(s) for s in group]
+        assert fused == singles
+
+    def test_member_gets_only_its_own_observers(self):
+        bare = RunSpec.umi("em3d", SCALE, "pentium4", MACHINE_SCALE)
+        observed = RunSpec.umi("em3d", SCALE, "pentium4", MACHINE_SCALE,
+                               with_cachegrind=True,
+                               consumers=("shadow-hwpf",))
+        first, second = execute_group_payloads([bare, observed])
+        assert "cachegrind" not in first and "derived" not in first
+        assert "cachegrind" in second
+        assert set(second["derived"]) == {"shadow-hwpf"}
 
 class TestTable4Fusion:
     def test_each_workload_executes_twice(self):

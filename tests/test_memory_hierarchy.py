@@ -101,6 +101,17 @@ class TestHierarchyAccess:
         with pytest.raises(ValueError):
             MemoryHierarchy(machine)
 
+    @pytest.mark.parametrize("l1i_line,l2_line", [(64, 32), (32, 32)])
+    def test_l1i_line_size_mismatch_rejected(self, l1i_line, l2_line):
+        machine = MachineConfig(
+            name="bad",
+            l1=CacheConfig(size=256, assoc=2, line_size=l2_line),
+            l1i=CacheConfig(size=256, assoc=2, line_size=l1i_line),
+            l2=CacheConfig(size=2048, assoc=4, line_size=l2_line),
+        )
+        with pytest.raises(ValueError, match=f"L1I line size {l1i_line} B"):
+            MemoryHierarchy(machine)
+
 
 class TestInstructionFetch:
     def test_fetch_counts_into_l2(self):

@@ -36,7 +36,7 @@ class TestSingleSourceOfTruth:
     def test_runner_signatures_inherit_the_default(self):
         import inspect
 
-        for fn in (runners.run_native, runners.run_native_fused,
+        for fn in (runners.run_native, runners.run_fused,
                    runners.run_cachegrind):
             sig = inspect.signature(fn)
             assert sig.parameters["max_steps"].default \
@@ -54,9 +54,21 @@ class TestEveryModeEnforcesTheLimit:
 
     def test_fused_native_mode(self):
         with pytest.raises(ExecutionLimitExceeded):
-            runners.run_native_fused(
-                self.program(), MACHINE,
+            runners.run_fused(
+                self.program(), MACHINE, "native",
                 [{"counter_sample_size": None}], max_steps=500)
+
+    @pytest.mark.parametrize("mode", ["dynamo", "umi"])
+    def test_fused_group_in_every_mode(self, mode):
+        variants = [{}, {"with_cachegrind": True,
+                         "consumers": ("shadow-hwpf",)}]
+        with pytest.raises(ExecutionLimitExceeded):
+            runners.run_fused(
+                self.program(), MACHINE, mode, variants,
+                runtime_config=RuntimeConfig(max_steps=500))
+        with pytest.raises(ExecutionLimitExceeded):
+            runners.run_fused(self.program(), MACHINE, mode, variants,
+                              max_steps=500)
 
     def test_cachegrind_mode(self):
         with pytest.raises(ExecutionLimitExceeded):
