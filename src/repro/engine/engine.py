@@ -5,12 +5,13 @@ Resolution order for every spec:
 1. in-process memo (same engine object, e.g. shared across one
    ``umi-experiments all`` invocation);
 2. persistent store, when configured (results shared across processes);
-3. the executor -- serial, or a parallel wavefront across cores.
+3. the executor -- one wavefront of leases, in-process, across local
+   worker processes, or across socket-connected agents.
 
 Whatever the path, the experiment layer receives the *restored view* of
 the serialized payload (:func:`repro.serialize.outcome_from_dict`), so
-table renderings are byte-identical whether a run was computed serially,
-in a worker process, or loaded from disk.
+table renderings are byte-identical whether a run was computed
+in-process, in a worker process, or loaded from disk.
 
 Resilience: wavefront progress is **checkpointed as it goes** -- each
 group's payloads are persisted to the store the moment the executor
@@ -36,7 +37,8 @@ from repro.serialize import outcome_from_dict
 from repro.telemetry import get_telemetry
 
 from .executor import (
-    FailedRun, RetryPolicy, is_failed_payload, make_executor,
+    FailedRun, LeaseExecutor, RetryPolicy, is_failed_payload,
+    make_executor,
 )
 from .fusion import plan_groups
 from .journal import JOURNAL_NAME, LeaseJournal
@@ -51,7 +53,8 @@ Resolved = Union[RunOutcome, FailedRun]
 class ExecutionEngine:
     """Schedules, caches and persists RunSpec executions."""
 
-    def __init__(self, executor=None, store: Optional[ResultStore] = None,
+    def __init__(self, executor: Optional[LeaseExecutor] = None,
+                 store: Optional[ResultStore] = None,
                  jobs: int = 1, strict: bool = True,
                  retry: Optional[RetryPolicy] = None,
                  workers: Optional[str] = None) -> None:
@@ -60,7 +63,7 @@ class ExecutionEngine:
                                workers=workers)
         self.store = store
         self.journal: Optional[LeaseJournal] = None
-        if store is not None and hasattr(self.executor, "journal"):
+        if store is not None:
             # Coordinator crash recovery: grant/complete/fail events
             # land in a JSONL journal beside the store, so a restarted
             # coordinator's --resume recovers per-group attempt
@@ -85,7 +88,7 @@ class ExecutionEngine:
     @property
     def runs_failed(self) -> int:
         """Groups that exhausted their retries (non-strict executors)."""
-        return getattr(self.executor, "runs_failed", 0)
+        return self.executor.runs_failed
 
     @property
     def store_hits(self) -> int:
@@ -132,7 +135,7 @@ class ExecutionEngine:
             groups = plan_groups(missing)
             with telemetry.span("engine.wavefront", specs=len(missing),
                                 groups=len(groups),
-                                jobs=getattr(self.executor, "jobs", 1)):
+                                jobs=self.executor.jobs):
                 self._execute_wavefront(groups)
             self.specs_executed += len(missing)
             telemetry.count("engine.specs_executed", n=len(missing))
@@ -141,22 +144,14 @@ class ExecutionEngine:
 
     def _execute_wavefront(self, groups: List[List[RunSpec]]) -> None:
         """Run the planned groups, checkpointing results as they land."""
+        # Every group is persisted the moment it resolves, so an
+        # interrupt or strict failure later in the wavefront cannot
+        # lose the work already done.
         def checkpoint(index: int, group: Sequence[RunSpec],
                        payloads: List[dict]) -> None:
             self._absorb(group, payloads)
 
-        if getattr(self.executor, "supports_on_result", False):
-            # Streaming path: every group is persisted the moment it
-            # completes, so an interrupt or strict failure later in the
-            # wavefront cannot lose the work already done.
-            self.executor.execute_groups(groups, on_result=checkpoint)
-        elif hasattr(self.executor, "execute_groups"):
-            payload_lists = self.executor.execute_groups(groups)
-            for group, payloads in zip(groups, payload_lists):
-                self._absorb(group, payloads)
-        else:  # custom executor without fusion support
-            for group in groups:
-                self._absorb(group, self.executor.execute(group))
+        self.executor.execute_groups(groups, on_result=checkpoint)
 
     def prefill(self, specs: Sequence[RunSpec]) -> None:
         """Schedule a wavefront without consuming the results yet."""
@@ -181,9 +176,7 @@ class ExecutionEngine:
     def close(self) -> None:
         """Release the executor's worker pool (idle agents get a
         clean shutdown; sockets and listeners close)."""
-        closer = getattr(self.executor, "close", None)
-        if closer is not None:
-            closer()
+        self.executor.close()
         if self.journal is not None:
             self.journal.close()
 

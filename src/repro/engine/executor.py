@@ -22,8 +22,8 @@ The unit of work is deliberately the *payload dict* (the JSON-safe
 summary from :func:`repro.serialize.outcome_to_dict`), not the live
 :class:`~repro.runners.RunOutcome`: payloads are cheap to ship across
 process and socket boundaries, are exactly what the persistent store
-writes, and guarantee the serial path, every pool backend and a store
-hit all hand the experiment layer byte-identical data.
+writes, and guarantee every pool backend and a store hit hand the
+experiment layer byte-identical data.
 
 Resilience: every fusion group runs under a :class:`RetryPolicy` --
 bounded attempts, exponential backoff with an injectable sleep, and an
@@ -31,18 +31,21 @@ optional per-group wall-clock deadline.  Each lease's deadline clock
 starts when its worker starts executing -- time spent waiting for a
 free slot never counts against it -- and an attempt that overruns is
 classified as a timeout even if a result eventually arrives, which
-keeps failure classification identical across backends (the serial
-executor enforces the same rule post-hoc on elapsed time).  A worker
-that dies while holding a lease (killed process, dropped connection)
-surfaces as a :func:`repro.faults.worker_loss_failure` crash fault and
-the lease requeues on the next wave, on whatever worker is free.  A
-group that still fails after its attempts are exhausted becomes one
+keeps failure classification identical across backends (the
+in-process pool cannot interrupt an attempt, so it classifies the
+overrun after the fact).  A worker that dies while holding a lease
+(killed process, dropped connection) surfaces as a
+:func:`repro.faults.worker_loss_failure` crash fault and the lease
+requeues on the next wave, on whatever worker is free.  A group that
+still fails after its attempts are exhausted becomes one
 structured :class:`FailedRun` payload per member spec -- the wavefront
 *completes* and reports partial results -- unless the executor is
-``strict``, in which case the final failure raises
-:class:`SpecExecutionError` naming the member spec (or the shared
-fused execution) that actually failed.  ``KeyboardInterrupt`` is
-handled gracefully: in-flight leases are aborted, telemetry for
+``strict``, in which case the coordinator stops granting leases,
+finishes the ones in flight, and raises :class:`SpecExecutionError`
+naming the member spec (or the shared fused execution) that actually
+failed.  Each group resolves the moment its pool event lands, so
+completed groups are checkpointed as they go.  ``KeyboardInterrupt``
+is handled gracefully: in-flight leases are aborted, telemetry for
 completed groups stays merged, and ``last_interrupt`` reports how many
 groups finished before the interrupt.
 
@@ -69,8 +72,8 @@ agent.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple,
@@ -79,14 +82,7 @@ from typing import (
 from repro.faults import active_fault_plan, worker_loss_failure
 from repro.telemetry import get_telemetry
 
-# Re-exported for compatibility: the execution seam lives in
-# repro.engine.attempt so pool backends and the standalone worker can
-# import it without circular imports.
-from .attempt import (  # noqa: F401  (re-exports)
-    attempt_group, execute_group_payloads, execute_spec,
-    execute_spec_payload,
-)
-from .pools import LocalProcessPool, PoolEvent, WorkerPool, make_pool
+from .pools import PoolEvent, WorkerPool, make_pool
 from .protocol import Lease
 from .spec import RunSpec
 
@@ -271,120 +267,54 @@ def _spec_error(group: Sequence[RunSpec], failure: Dict[str, Any],
                               worker_traceback=failure.get("traceback"))
 
 
-def _resolve_group_serially(group: Sequence[RunSpec], policy: RetryPolicy,
-                            telemetry) -> Tuple[str, Any, int]:
-    """Retry loop for one group in the calling process.
+class _Sweep:
+    """One :meth:`LeaseExecutor.execute_groups` call's group state."""
 
-    Returns ``(status, value, attempts_used)``.  An attempt whose
-    elapsed wall time overran ``policy.timeout`` is reclassified as a
-    timeout (and its result discarded) even if it returned -- mirroring
-    the coordinator-side deadline the pools enforce, so both paths
-    retry and fail identically under the same fault plan.
-    """
-    attempt = 1
-    while True:
-        start = time.monotonic()
-        status, value = attempt_group(group, attempt)
-        elapsed = time.monotonic() - start
-        if policy.timeout is not None and elapsed > policy.timeout:
-            telemetry.count("executor.timeouts")
-            status, value = "error", _timeout_failure(group, policy)
-        if status == "ok" or attempt >= policy.max_attempts:
-            return status, value, attempt
-        telemetry.count("executor.retries")
-        policy.sleep(policy.backoff(attempt))
-        attempt += 1
+    def __init__(self, groups: List[List[RunSpec]],
+                 plan_dict: Optional[Dict[str, Any]],
+                 on_result: Optional[OnResult]) -> None:
+        self.groups = groups
+        self.plan_dict = plan_dict
+        self.on_result = on_result
+        #: Journal keys: one per group, its members' digests joined.
+        self.keys = ["+".join(spec.digest() for spec in group)
+                     for group in groups]
+        #: Attempts granted so far, per group.
+        self.attempts = [0] * len(groups)
+        #: Final payloads per group; ``None`` while unresolved.
+        self.results: List[Optional[List[Dict[str, Any]]]] = \
+            [None] * len(groups)
+        self.completed = 0
+        #: Strict mode's first exhausted failure; once set, no new
+        #: leases are granted and it is raised after the wave.
+        self.error: Optional[SpecExecutionError] = None
 
-
-def _execute_groups_serially(executor, groups: List[List[RunSpec]],
-                             on_result: Optional[OnResult]
-                             ) -> List[List[Dict[str, Any]]]:
-    """Shared in-process group loop (SerialExecutor + jobs==1 fallback)."""
-    telemetry = get_telemetry()
-    results: List[List[Dict[str, Any]]] = []
-    completed = 0
-    try:
-        for index, group in enumerate(groups):
-            if getattr(executor, "_drain", False):
-                raise DrainInterrupt("drain requested")
-            status, value, attempts = _resolve_group_serially(
-                group, executor.retry, telemetry)
-            if status == "ok":
-                payloads = value
-                executor.runs_executed += 1
-            else:
-                if executor.strict:
-                    raise _spec_error(group, value, attempts)
-                executor.runs_failed += 1
-                payloads = _failed_payloads(group, value, attempts)
-            completed += 1
-            results.append(payloads)
-            if on_result is not None:
-                on_result(index, group, payloads)
-    except KeyboardInterrupt:
-        executor.last_interrupt = InterruptReport(completed, len(groups))
-        telemetry.event("executor.interrupted", completed=completed,
-                        total=len(groups))
-        raise
-    return results
-
-
-class SerialExecutor:
-    """Runs specs one after another in the calling process."""
-
-    jobs = 1
-    supports_on_result = True
-    pool_kind = "serial"
-
-    def __init__(self, retry: Optional[RetryPolicy] = None,
-                 strict: bool = True) -> None:
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.strict = strict
-        self.runs_executed = 0
-        self.runs_failed = 0
-        self.last_interrupt: Optional[InterruptReport] = None
-        self.worker_stats: Dict[str, Dict[str, int]] = {}
-        self._drain = False
-
-    def execute(self, specs: Sequence[RunSpec]) -> List[Dict[str, Any]]:
-        results = self.execute_groups([[spec] for spec in specs])
-        return [payloads[0] for payloads in results]
-
-    def request_drain(self) -> None:
-        """Finish the group in flight, checkpoint it, then stop."""
-        self._drain = True
-
-    def execute_groups(self, groups: Sequence[Sequence[RunSpec]],
-                       on_result: Optional[OnResult] = None
-                       ) -> List[List[Dict[str, Any]]]:
-        """Run fusion groups; one *execution* counted per group."""
-        self.last_interrupt = None
-        groups = [list(group) for group in groups]
-        return _execute_groups_serially(self, groups, on_result)
-
-    def close(self) -> None:
-        """Nothing to release."""
+    def commit(self, index: int, payloads: List[Dict[str, Any]]) -> None:
+        """Group ``index`` reached its final payloads: checkpoint it."""
+        self.results[index] = payloads
+        self.completed += 1
+        if self.on_result is not None:
+            self.on_result(index, self.groups[index], payloads)
 
 
 class LeaseExecutor:
     """The coordinator: plans waves, leases groups to a worker pool.
 
-    Owns all *policy* -- retries, deadlines-as-timeouts, crash-fault
-    classification, strict-mode errors, submission-order telemetry
-    merging, checkpoint callbacks -- while the
-    :class:`~repro.engine.pools.WorkerPool` owns only *placement*.
-    Execution proceeds in retry waves exactly like the historical
-    parallel executor: attempt *n* of every pending group runs (each
-    group as one :class:`~repro.engine.protocol.Lease`), then failed,
-    expired and lost groups back off together and requeue as attempt
-    *n+1*.  A lost worker consumes a retry attempt like any crash: the
-    lease's failure info comes from
+    The one executor: ``--jobs 1``, ``--jobs N`` and ``--workers``
+    differ only in the pool.  Owns all *policy* -- retries,
+    deadlines-as-timeouts, crash-fault classification, strict-mode
+    errors, submission-order telemetry merging, checkpoint callbacks
+    -- while the :class:`~repro.engine.pools.WorkerPool` owns only
+    *placement*.  Execution proceeds in retry waves: attempt *n* of
+    every pending group runs (each group as one
+    :class:`~repro.engine.protocol.Lease`, resolved as its event
+    lands), then failed, expired and lost groups back off together
+    and requeue as attempt *n+1*.  A lost worker consumes a retry
+    attempt like any crash: the lease's failure info comes from
     :func:`repro.faults.worker_loss_failure`, and downstream handling
     (FailedRun payloads, strict errors, store checkpoints, resume) is
     byte-identical to an in-process crash.
     """
-
-    supports_on_result = True
 
     def __init__(self, pool: WorkerPool,
                  retry: Optional[RetryPolicy] = None,
@@ -452,55 +382,114 @@ class LeaseExecutor:
 
     # -- the wave loop ------------------------------------------------
 
-    def _next_lease(self, group: Sequence[RunSpec], attempt: int,
-                    plan_dict: Optional[Dict[str, Any]],
-                    telemetry_enabled: bool) -> Lease:
+    def _granting(self, sweep: _Sweep) -> bool:
+        """New leases go out until a drain or a strict failure."""
+        return not self._drain and sweep.error is None
+
+    def _grant(self, sweep: _Sweep, index: int, telemetry) -> Lease:
+        """Submit group ``index``'s next attempt as one lease.
+
+        The grant consumes the attempt (and is journaled, so a
+        coordinator that dies after granting does not hand the group a
+        fresh budget on restart).
+        """
+        attempt = sweep.attempts[index] + 1
         self._lease_seq += 1
-        return Lease.for_group(
-            f"L{self._lease_seq:06d}", group, attempt,
-            self.retry.timeout, plan_dict, telemetry_enabled,
+        lease = Lease.for_group(
+            f"L{self._lease_seq:06d}", sweep.groups[index], attempt,
+            self.retry.timeout, sweep.plan_dict, telemetry.enabled,
             epoch=self._lease_seq)
+        if self.journal is not None:
+            self.journal.record_grant(sweep.keys[index], lease.epoch,
+                                      attempt, lease.lease_id)
+        sweep.attempts[index] = attempt
+        self.pool.submit(lease)
+        return lease
 
-    def _run_wave(self, groups: List[List[RunSpec]], pending: List[int],
-                  attempts_used: Dict[int, int], keys: List[str],
-                  plan_dict: Optional[Dict[str, Any]],
-                  telemetry, outcomes: Dict[int, Any],
-                  expired: Dict[int, str], lost: Dict[int, str]) -> None:
-        """One retry wave: every pending group leased exactly once.
+    def _land(self, sweep: _Sweep, index: int, event: PoolEvent,
+              telemetry) -> None:
+        """Resolve group ``index`` from its lease's pool event.
 
-        Leases are submitted in submission order while the pool has
-        capacity; each lease's deadline clock starts when its worker
-        does, so time spent waiting for a free slot never counts
-        against it.  A grant consumes the group's next attempt (and is
-        journaled, so a coordinator that dies after granting does not
-        hand the group a fresh budget on restart).  Raw pool events
-        land incrementally in ``outcomes`` (index -> ``(status, value,
-        snapshot, worker)``), ``expired`` and ``lost`` (index ->
-        worker id), so the caller can salvage completed groups when
-        the wave is interrupted; liveness-only events (rejoins, missed
-        heartbeats, fenced stale results) are counted into telemetry
-        here and never touch group state.  A drain request stops new
-        submissions but waits out everything already in flight.
+        Success commits at once; a failure with attempts left leaves
+        the group for the next wave; an exhausted failure commits as
+        :class:`FailedRun` payloads, or under ``strict`` records the
+        error that stops further grants.
+        """
+        group = sweep.groups[index]
+        if event.kind == "result":
+            self._attribute(telemetry, event.worker, "leases")
+            self._attribute(telemetry, event.worker, "specs",
+                            n=len(group))
+            if sweep.attempts[index] > 1:
+                self._attribute(telemetry, event.worker, "retries")
+            if event.status == "ok":
+                self.runs_executed += 1
+                sweep.commit(index, event.value)
+                if self.journal is not None:
+                    self.journal.record_complete(sweep.keys[index],
+                                                 sweep.attempts[index])
+                return
+            failure = event.value
+        elif event.kind == "expired":
+            self._attribute(telemetry, event.worker, "timeouts")
+            telemetry.count("executor.timeouts")
+            failure = _timeout_failure(group, self.retry)
+        else:  # "lost"
+            self._attribute(telemetry, event.worker, "lost")
+            failure = worker_loss_failure(len(group), event.worker,
+                                          pool_kind=self.pool.kind)
+        attempts = sweep.attempts[index]
+        if attempts < self.retry.max_attempts:
+            return
+        if self.strict:
+            if sweep.error is None:
+                sweep.error = _spec_error(group, failure, attempts)
+            return
+        self.runs_failed += 1
+        if self.journal is not None:
+            self.journal.record_fail(sweep.keys[index])
+        sweep.commit(index, _failed_payloads(group, failure, attempts))
+
+    def _run_wave(self, sweep: _Sweep, pending: List[int],
+                  telemetry) -> List[int]:
+        """One retry wave: every pending group leased at most once.
+
+        Leases go out in submission order while the pool has capacity;
+        each lease's deadline clock starts when its worker does, so
+        time spent waiting for a free slot never counts against it.
+        Every pool event resolves its group the moment it lands, so a
+        group is checkpointed before the wave ends and an interrupt
+        loses only what was still in flight.  Worker telemetry
+        snapshots still merge in submission order -- one that lands
+        early waits for its predecessors -- so the combined registry
+        is independent of completion order.  Liveness-only events
+        (rejoins, missed heartbeats, fenced stale results) are counted
+        here and never touch group state.  A drain or strict failure
+        stops new grants but waits out everything already in flight.
+
+        Returns the groups left for the next wave, in order.
         """
         pool = self.pool
-        waiting = list(pending)
+        waiting = deque(pending)
         inflight: Dict[str, int] = {}
+        #: index -> (snapshot or None, worker) of a landed lease whose
+        #: snapshot awaits its turn; the first ``merged`` entries of
+        #: ``pending`` have had theirs.
+        landed: Dict[int, Tuple[Optional[Dict[str, Any]], str]] = {}
+        merged = 0
+
+        def merge(index: int) -> None:
+            snapshot, worker = landed.pop(index, (None, ""))
+            if snapshot is not None:
+                telemetry.merge(snapshot, source=f"{pool.kind}:{worker}")
+
         try:
-            while inflight or (waiting and not self._drain):
-                while (waiting and not self._drain
+            while inflight or (waiting and self._granting(sweep)):
+                while (waiting and self._granting(sweep)
                         and pool.has_capacity()):
-                    index = waiting.pop(0)
-                    attempt = attempts_used[index] + 1
-                    lease = self._next_lease(
-                        groups[index], attempt, plan_dict,
-                        telemetry.enabled)
-                    if self.journal is not None:
-                        self.journal.record_grant(
-                            keys[index], lease.epoch, attempt,
-                            lease.lease_id)
-                    attempts_used[index] = attempt
-                    pool.submit(lease)
-                    inflight[lease.lease_id] = index
+                    index = waiting.popleft()
+                    inflight[self._grant(sweep, index,
+                                         telemetry).lease_id] = index
                 for event in pool.wait(timeout=1.0):
                     if event.kind == "rejoin":
                         self._attribute(telemetry, event.worker,
@@ -517,26 +506,21 @@ class LeaseExecutor:
                     index = inflight.pop(event.lease_id, None)
                     if index is None:
                         continue
-                    group_size = len(groups[index])
-                    if event.kind == "result":
-                        outcomes[index] = (event.status, event.value,
-                                           event.snapshot, event.worker)
-                        self._attribute(telemetry, event.worker, "leases")
-                        self._attribute(telemetry, event.worker, "specs",
-                                        n=group_size)
-                        if attempts_used[index] > 1:
-                            self._attribute(telemetry, event.worker,
-                                            "retries")
-                    elif event.kind == "expired":
-                        expired[index] = event.worker
-                        self._attribute(telemetry, event.worker,
-                                        "timeouts")
-                    else:  # "lost"
-                        lost[index] = event.worker
-                        self._attribute(telemetry, event.worker, "lost")
+                    landed[index] = (event.snapshot, event.worker)
+                    while merged < len(pending) \
+                            and pending[merged] in landed:
+                        merge(pending[merged])
+                        merged += 1
+                    self._land(sweep, index, event, telemetry)
         except BaseException:
             pool.abort()
             raise
+        finally:
+            # Interrupted or stopped early: whatever did land still
+            # merges, in submission order.
+            for index in pending[merged:]:
+                merge(index)
+        return [index for index in pending if sweep.results[index] is None]
 
     def execute_groups(self, groups: Sequence[Sequence[RunSpec]],
                        on_result: Optional[OnResult] = None
@@ -546,9 +530,12 @@ class LeaseExecutor:
         Each group carries its own attempt budget (seeded from the
         lease journal's dangling grants when resuming after a
         coordinator crash, clamped so every resumed group keeps at
-        least one attempt here); a group that exhausts its budget
-        resolves as a final failure immediately, while the rest keep
-        retrying in waves.
+        least one attempt here).  Groups resolve -- and ``on_result``
+        checkpoints them -- as their events land; failed groups with
+        attempts left retry together in the next wave, after one
+        backoff sleep.  Under ``strict`` the first exhausted group
+        stops new grants, the leases in flight finish (and
+        checkpoint), and its :class:`SpecExecutionError` is raised.
         """
         self.last_interrupt = None
         groups = [list(group) for group in groups]
@@ -558,102 +545,29 @@ class LeaseExecutor:
         telemetry = get_telemetry()
         policy = self.retry
         plan = active_fault_plan()
-        plan_dict = plan.to_dict() if plan is not None else None
-        keys = ["+".join(spec.digest() for spec in group)
-                for group in groups]
-        results: List[Optional[List[Dict[str, Any]]]] = [None] * len(groups)
-        failures: Dict[int, Dict[str, Any]] = {}
-        completed = 0
-        attempts_used: Dict[int, int] = {}
-        for index in range(len(groups)):
-            prior = self.journal.prior_attempts(keys[index]) \
-                if self.journal is not None else 0
-            attempts_used[index] = min(prior, policy.max_attempts - 1)
+        sweep = _Sweep(groups, plan.to_dict() if plan is not None else None,
+                       on_result)
         if self.journal is not None:
+            for index, key in enumerate(sweep.keys):
+                sweep.attempts[index] = min(
+                    self.journal.prior_attempts(key),
+                    policy.max_attempts - 1)
             # Continue the fencing sequence past anything a dead
             # coordinator granted, so this coordinator's epochs (and
             # lease ids) can never collide with a zombie's.
-            self._lease_seq = max(self._lease_seq,
-                                  self.journal.max_epoch)
+            self._lease_seq = max(self._lease_seq, self.journal.max_epoch)
         try:
             pending = list(range(len(groups)))
             wave = 0
-            while pending and not self._drain:
+            while pending and self._granting(sweep):
                 wave += 1
                 if wave > 1:
                     telemetry.count("executor.retries", n=len(pending))
                     policy.sleep(policy.backoff(wave - 1))
-                outcomes: Dict[int, Any] = {}
-                expired: Dict[int, str] = {}
-                lost: Dict[int, str] = {}
-                exhausted: List[int] = []
-                try:
-                    self._run_wave(groups, pending, attempts_used, keys,
-                                   plan_dict, telemetry, outcomes,
-                                   expired, lost)
-                finally:
-                    # Resolve in submission order -- even when the wave
-                    # was interrupted -- so telemetry merges
-                    # deterministically (result i belongs to group i)
-                    # and completed groups are checkpointed before the
-                    # interrupt unwinds.
-                    still_pending = []
-                    for index in pending:
-                        if index in expired:
-                            telemetry.count("executor.timeouts")
-                            failures[index] = _timeout_failure(
-                                groups[index], policy)
-                        elif index in lost:
-                            failures[index] = worker_loss_failure(
-                                len(groups[index]), lost[index],
-                                pool_kind=self.pool.kind)
-                        elif index not in outcomes:
-                            # interrupted or drained before an outcome
-                            still_pending.append(index)
-                            continue
-                        else:
-                            status, value, snapshot, worker = \
-                                outcomes[index]
-                            if snapshot is not None:
-                                telemetry.merge(
-                                    snapshot,
-                                    source=f"{self.pool.kind}:{worker}")
-                            if status == "ok":
-                                results[index] = value
-                                self.runs_executed += 1
-                                completed += 1
-                                failures.pop(index, None)
-                                if self.journal is not None:
-                                    self.journal.record_complete(
-                                        keys[index], attempts_used[index])
-                                if on_result is not None:
-                                    on_result(index, groups[index],
-                                              value)
-                                continue
-                            failures[index] = value
-                        if attempts_used[index] >= policy.max_attempts:
-                            exhausted.append(index)
-                        else:
-                            still_pending.append(index)
-                    pending = still_pending
-                # Final failures resolve here, outside the finally, so
-                # an interrupt unwinding through it is never replaced
-                # by a strict-mode error.
-                for index in exhausted:
-                    if self.strict:
-                        raise _spec_error(groups[index], failures[index],
-                                          attempts_used[index])
-                    payloads = _failed_payloads(
-                        groups[index], failures[index],
-                        attempts_used[index])
-                    results[index] = payloads
-                    self.runs_failed += 1
-                    completed += 1
-                    if self.journal is not None:
-                        self.journal.record_fail(keys[index])
-                    if on_result is not None:
-                        on_result(index, groups[index], payloads)
-            if pending and self._drain:
+                pending = self._run_wave(sweep, pending, telemetry)
+            if sweep.error is not None:
+                raise sweep.error
+            if pending:
                 raise DrainInterrupt(
                     f"drained with {len(pending)} group(s) pending")
             if self.journal is not None:
@@ -665,56 +579,19 @@ class LeaseExecutor:
             # waited them out instead); completed groups stay counted
             # and their telemetry stays merged, so a resumed sweep
             # picks up exactly where this one stopped.
-            self.last_interrupt = InterruptReport(completed,
+            self.last_interrupt = InterruptReport(sweep.completed,
                                                   len(groups))
             telemetry.event("executor.interrupted",
-                            completed=completed, total=len(groups))
+                            completed=sweep.completed, total=len(groups))
             raise
-        return results
-
-
-class ParallelExecutor(LeaseExecutor):
-    """Fans independent specs across cores via dedicated processes.
-
-    The historical ``--jobs N`` executor, expressed as a
-    :class:`LeaseExecutor` over a
-    :class:`~repro.engine.pools.LocalProcessPool`.  A single-group
-    wavefront (or ``jobs == 1``) short-circuits to the in-process
-    serial loop -- same results, no process overhead.
-    """
-
-    def __init__(self, jobs: int = 0,
-                 retry: Optional[RetryPolicy] = None,
-                 strict: bool = True) -> None:
-        if jobs <= 0:
-            jobs = multiprocessing.cpu_count()
-        super().__init__(LocalProcessPool(jobs), retry=retry,
-                         strict=strict)
-
-    def execute_groups(self, groups: Sequence[Sequence[RunSpec]],
-                       on_result: Optional[OnResult] = None
-                       ) -> List[List[Dict[str, Any]]]:
-        groups = [list(group) for group in groups]
-        if not groups:
-            return []
-        if len(groups) == 1 or self.jobs == 1:
-            self.last_interrupt = None
-            return _execute_groups_serially(self, groups, on_result)
-        return super().execute_groups(groups, on_result)
+        return sweep.results
 
 
 def make_executor(jobs: int = 1, retry: Optional[RetryPolicy] = None,
                   strict: bool = True,
-                  workers: Optional[str] = None):
-    """Build the executor a CLI invocation asked for.
-
-    ``workers`` (the ``--workers [N@]HOST:PORT`` spec) selects a
-    socket-pool coordinator; otherwise ``jobs == 1`` -> serial and
-    ``jobs > 1`` -> the local-process parallel executor.
-    """
-    if workers:
-        return LeaseExecutor(make_pool(workers=workers), retry=retry,
-                             strict=strict)
-    if jobs == 1:
-        return SerialExecutor(retry=retry, strict=strict)
-    return ParallelExecutor(jobs=jobs, retry=retry, strict=strict)
+                  workers: Optional[str] = None) -> LeaseExecutor:
+    """Build the executor a CLI invocation asked for: the coordinator
+    over :func:`~repro.engine.pools.make_pool`'s pool for ``jobs`` /
+    ``workers``."""
+    return LeaseExecutor(make_pool(jobs=jobs, workers=workers),
+                         retry=retry, strict=strict)

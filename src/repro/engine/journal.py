@@ -34,10 +34,13 @@ maximum granted ``epoch`` is recovered too, so a restarted
 coordinator's fencing tokens and lease ids never collide with ones a
 zombie worker may still answer to.
 
-Durability is process-crash level (flush per record, no fsync): the
-journal guards against SIGKILLed coordinators, not power loss -- the
-store's fsync'd records remain the source of truth for results.  A
-torn final line (coordinator died mid-append) is ignored on replay.
+Durability is process-crash level (one ``write`` per grant or fail,
+no fsync): the journal guards against SIGKILLed coordinators, not
+power loss -- the store's fsync'd records remain the source of truth
+for results.  A ``complete`` goes out with the next grant or fail, or
+is dropped by compaction: its group is already in the store, so losing
+it loses nothing a resume reads.  A torn final line (coordinator died
+mid-append) is ignored on replay.
 A sweep that ends cleanly :meth:`compact`\\ s the journal back to
 empty, so budgets never leak across unrelated sweeps.
 """
@@ -46,10 +49,14 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, IO, Optional
+from typing import Any, Dict, List, Optional
 
 #: The journal's file name inside the store root.
 JOURNAL_NAME = "lease-journal.jsonl"
+
+#: One record per line, keys sorted.  Built once: ``json.dumps`` with
+#: ``sort_keys`` would construct a fresh encoder for every record.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class LeaseJournal:
@@ -57,7 +64,11 @@ class LeaseJournal:
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
-        self._handle: Optional[IO[str]] = None
+        #: Append-only descriptor, opened on the first write.
+        self._fd: Optional[int] = None
+        #: Records not yet written: a ``complete`` waits for the next
+        #: durable record, or is dropped by :meth:`compact`.
+        self._pending: List[Dict[str, Any]] = []
         #: group key -> dangling grant count (grants since the last
         #: complete/fail), recovered from the file on open.
         self._dangling: Dict[str, int] = {}
@@ -100,12 +111,23 @@ class LeaseJournal:
 
     # -- appends -------------------------------------------------------
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
+    def _append(self, record: Dict[str, Any], durable: bool = True) -> None:
+        """Journal one record; a ``durable`` one reaches the file now."""
+        self._pending.append(record)
+        if durable:
+            self._write_pending()
         self._apply(record)
+
+    def _write_pending(self) -> None:
+        if not self._pending:
+            return
+        if self._fd is None:
+            self._fd = os.open(self.path,
+                               os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                               0o644)
+        lines = "".join(_encode(record) + "\n" for record in self._pending)
+        os.write(self._fd, lines.encode("utf-8"))
+        self._pending.clear()
 
     def record_grant(self, key: str, epoch: int, attempt: int,
                      lease_id: str) -> None:
@@ -113,7 +135,11 @@ class LeaseJournal:
                       "attempt": attempt, "lease_id": lease_id})
 
     def record_complete(self, key: str, epoch: int) -> None:
-        self._append({"event": "complete", "key": key, "epoch": epoch})
+        # Not durable on its own: the checkpoint has already put the
+        # group in the store, so a resume never re-plans it and never
+        # asks for its budget.
+        self._append({"event": "complete", "key": key, "epoch": epoch},
+                     durable=False)
 
     def record_fail(self, key: str) -> None:
         self._append({"event": "fail", "key": key})
@@ -128,15 +154,21 @@ class LeaseJournal:
         survive; truncating keeps the journal from growing across
         sweeps and from leaking stale epochs into unrelated runs.
         """
-        self.close()
+        self._pending.clear()
         self._dangling.clear()
         self.max_epoch = 0
+        if self._fd is not None:
+            # O_APPEND: later records land at the new end of file, so
+            # a sweep per engine request reopens nothing.
+            os.ftruncate(self._fd, 0)
+            return
         with open(self.path, "w", encoding="utf-8"):
             pass
 
     def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
+        try:
+            self._write_pending()
+        finally:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None

@@ -8,7 +8,7 @@ backends share the one interface:
 ``InProcessPool``
     Executes each lease synchronously in the coordinator process,
     under the coordinator's own telemetry.  Serial, deterministic, no
-    subprocesses -- the backend tests reach for.
+    subprocesses -- what ``--jobs 1`` (the default) resolves to.
 
 ``LocalProcessPool``
     Today's execution model re-expressed over leases: one dedicated,
@@ -27,7 +27,7 @@ backends share the one interface:
 A pool never retries, classifies, or merges -- it reports raw
 :class:`PoolEvent` facts ("this lease produced this result", "this
 lease expired", "this lease's worker died") and the coordinator owns
-all policy, which is how serial, local and distributed sweeps stay
+all policy, which is how in-process, local and distributed sweeps stay
 byte-identical.
 """
 
@@ -144,11 +144,12 @@ class InProcessPool(WorkerPool):
     """Runs each lease synchronously in the coordinator process.
 
     Execution happens under the coordinator's *own* telemetry (no
-    reset, no snapshot) -- exactly like the serial executor -- so a
-    sweep through this pool is the serial sweep with lease-shaped
-    bookkeeping.  Deadlines are classified after the fact: the attempt
-    cannot be interrupted in-process, but an overrun still reports as
-    ``"expired"`` so retry accounting matches the killable backends.
+    reset, no snapshot), one lease at a time: the pool holds a single
+    slot, busy until the lease's event is delivered.  This is what
+    ``--jobs 1`` resolves to.  Deadlines are classified after the
+    fact: the attempt cannot be interrupted in-process, but an overrun
+    still reports as ``"expired"`` so retry accounting matches the
+    killable backends.
     """
 
     kind = "inprocess"
@@ -161,7 +162,10 @@ class InProcessPool(WorkerPool):
         return 1
 
     def has_capacity(self) -> bool:
-        return True
+        # One slot: the next lease waits until this one's event is
+        # delivered, so the coordinator resolves (and checkpoints)
+        # each group before it runs the next.
+        return not self._events
 
     def submit(self, lease: Lease) -> None:
         started = time.monotonic()
@@ -781,7 +785,8 @@ def make_pool(jobs: int = 1,
 
     ``workers`` is the ``--workers`` spec ``[N@]HOST:PORT`` -- listen
     on HOST:PORT and wait for N agents (default 1).  Without it,
-    ``jobs`` picks between the in-process and local-process backends.
+    ``jobs`` picks the backend: ``1`` runs in-process, ``N > 1`` in N
+    local processes, and ``0`` in one local process per core.
     The socket pool's liveness knobs come from the environment
     (``UMI_HEARTBEAT_S``, ``UMI_LIVENESS_MISSES``) so chaos harnesses
     can tighten them without extra CLI surface.
@@ -805,6 +810,10 @@ def make_pool(jobs: int = 1,
                           min_workers=min_workers,
                           heartbeat_s=heartbeat_s,
                           liveness_misses=liveness)
-    if jobs <= 1:
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    if jobs == 0:
+        jobs = multiprocessing.cpu_count()
+    if jobs == 1:
         return InProcessPool()
     return LocalProcessPool(jobs)

@@ -131,16 +131,23 @@ class Lease:
                   attempt: int, deadline_s: Optional[float],
                   fault_plan: Optional[Dict[str, Any]],
                   telemetry: bool, epoch: int = 0) -> "Lease":
-        return cls(
+        lease = cls(
             lease_id=lease_id, attempt=attempt, epoch=epoch,
             specs=tuple(spec.to_dict() for spec in group),
             digests=tuple(spec.digest() for spec in group),
             deadline_s=deadline_s, fault_plan=fault_plan,
             telemetry=telemetry,
         )
+        # Not a field, so never on the wire: a worker in this process
+        # (or forked from it) runs the very specs, unrebuilt.
+        object.__setattr__(lease, "_group", tuple(group))
+        return lease
 
     def group(self) -> List[RunSpec]:
-        """Rebuild the fusion group this lease carries."""
+        """The fusion group this lease carries (rebuilt off the wire)."""
+        built = self.__dict__.get("_group")
+        if built is not None:
+            return list(built)
         return [RunSpec.from_dict(spec) for spec in self.specs]
 
     def describe(self) -> str:

@@ -111,6 +111,13 @@ class RunSpec:
                 "counter_sample_size only applies to native runs")
         if self.mode != "umi" and self.umi_overrides:
             raise ValueError("umi_overrides only apply to umi runs")
+        # A knob the mode ignores would give one run two digests.
+        if self.mode == "dynamo" and self.with_cachegrind:
+            raise ValueError(
+                "with_cachegrind only applies to native and umi runs")
+        if self.mode != "umi" and (not self.sampling or self.sw_prefetch):
+            raise ValueError(
+                "sampling/sw_prefetch only apply to umi runs")
 
     # -- construction helpers ----------------------------------------------
 
@@ -156,7 +163,10 @@ class RunSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe representation (embedded in stored payloads)."""
-        payload = dataclasses.asdict(self)
+        # Not dataclasses.asdict: every field is a scalar or a tuple of
+        # scalars, so its deep copy would only cost time on the
+        # digest/lease hot path.
+        payload = {name: getattr(self, name) for name in _FIELD_NAMES}
         payload["consumers"] = list(self.consumers)
         payload["umi_overrides"] = [list(kv) for kv in self.umi_overrides]
         return payload
@@ -170,9 +180,17 @@ class RunSpec:
         return cls(**payload)
 
     def digest(self) -> str:
-        """Stable content hash; the result store's file key."""
-        blob = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """Stable content hash; the result store's file key.
+
+        Computed once per spec: the store, the lease and the lease
+        journal all key by it on every request.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            blob = json.dumps(self.to_dict(), sort_keys=True)
+            cached = hashlib.sha256(blob.encode()).hexdigest()
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
     def describe(self) -> str:
         """Compact human-readable label (logs, progress lines)."""
@@ -191,3 +209,7 @@ class RunSpec:
         if self.config_digest:
             bits.append(f"cfg={self.config_digest}")
         return ":".join(bits)
+
+
+#: RunSpec's field names in declaration order (``to_dict``'s key order).
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(RunSpec))

@@ -323,6 +323,8 @@ def _main(argv) -> int:
                      "resume from without a persistent result store")
     if args.retries < 1:
         parser.error("--retries must be >= 1")
+    if args.jobs < 0:
+        parser.error("--jobs must be >= 0 (0 = all cores)")
     if args.workers is not None and args.jobs != 1:
         parser.error("--workers and --jobs are mutually exclusive: "
                      "worker agents replace local worker processes")
@@ -450,9 +452,7 @@ def _run_experiments(args, names: List[str], store,
         # pass, stops granting, lets in-flight leases finish, and
         # raises DrainInterrupt -- agents are severed, not shut down,
         # so their rejoin loops find the replacement coordinator.
-        drainer = getattr(cache.engine.executor, "request_drain", None)
-        if drainer is not None:
-            drainer()
+        cache.engine.executor.request_drain()
 
     previous = None
     try:
@@ -477,10 +477,8 @@ def _run_experiments(args, names: List[str], store,
 def _worker_banner(cache: ResultCache) -> None:
     """Per-worker breakdown lines after a pooled wavefront."""
     executor = cache.engine.executor
-    stats = getattr(executor, "worker_stats", None)
-    if not stats:
-        return
-    kind = getattr(executor, "pool_kind", "?")
+    stats = executor.worker_stats
+    kind = executor.pool_kind
     for worker in sorted(stats):
         s = stats[worker]
         liveness = ""
@@ -522,8 +520,7 @@ def _run_with_cache(args, names: List[str], store,
         try:
             cache.prefill(wavefront)
         except DrainInterrupt:  # before KeyboardInterrupt: a subclass
-            report = getattr(cache.engine.executor, "last_interrupt",
-                             None)
+            report = cache.engine.executor.last_interrupt
             done = (f"{report.completed}/{report.total} groups"
                     if report is not None else "partial progress")
             hint = (f"; restart with --store {store} --resume to "
@@ -534,8 +531,7 @@ def _run_with_cache(args, names: List[str], store,
             _worker_banner(cache)
             return 143
         except KeyboardInterrupt:
-            report = getattr(cache.engine.executor, "last_interrupt",
-                             None)
+            report = cache.engine.executor.last_interrupt
             done = (f"{report.completed}/{report.total} groups"
                     if report is not None else "partial progress")
             hint = (f"; resume with --store {store} --resume"

@@ -24,7 +24,7 @@ order that survives the JSONL round trip.
 
 The object is process-local and not thread-safe; cross-process
 aggregation goes through ``snapshot()`` in the worker and ``merge()``
-in the parent (see the parallel executor).
+in the parent (see the lease coordinator in ``repro.engine.executor``).
 """
 
 from __future__ import annotations

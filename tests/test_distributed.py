@@ -12,6 +12,7 @@ ephemeral-port pool, so no subprocesses are involved; the CI
 """
 
 import json
+import multiprocessing
 import os
 import select
 import socket
@@ -21,9 +22,8 @@ import pytest
 
 from repro.engine import (
     InProcessPool, LeaseExecutor, LeaseJournal, LocalProcessPool,
-    ParallelExecutor, RetryPolicy, RunSpec, SerialExecutor, SocketPool,
-    SpecExecutionError, is_failed_payload, make_executor, make_pool,
-    run_lease,
+    RetryPolicy, RunSpec, SocketPool, SpecExecutionError,
+    is_failed_payload, make_executor, make_pool, run_lease,
 )
 from repro.engine.protocol import (
     Heartbeat, HeartbeatAck, Lease, LeaseResult, Shutdown, WorkerHello,
@@ -63,7 +63,7 @@ def canonical(payloads):
 
 
 def serial_sweep():
-    return SerialExecutor().execute(sweep_specs())
+    return make_executor(1).execute(sweep_specs())
 
 
 def start_agent(host, port, name):
@@ -108,7 +108,7 @@ class TestInProcessPool:
 
 class TestLocalProcessPool:
     def test_sweep_matches_serial_byte_identically(self):
-        executor = ParallelExecutor(jobs=2)
+        executor = make_executor(2)
         payloads = executor.execute(sweep_specs())
         executor.close()
         assert canonical(payloads) == canonical(serial_sweep())
@@ -266,7 +266,7 @@ class TestLivenessAndFencing:
             executor.close()
         zombie.join(timeout=10.0)
         assert canonical(payloads) == canonical(
-            SerialExecutor().execute([native_spec()]))
+            make_executor(1).execute([native_spec()]))
         stats = executor.worker_stats["a"]
         assert stats["heartbeats_missed"] >= 2
         assert stats["lost"] == 1
@@ -461,6 +461,16 @@ class TestPoolSelection:
         local = make_pool(jobs=4)
         assert isinstance(local, LocalProcessPool)
         assert local.capacity == 4
+        # 0 means all cores, as --jobs documents; negative is an error.
+        assert make_pool(jobs=0).capacity == multiprocessing.cpu_count()
+        with pytest.raises(ValueError):
+            make_pool(jobs=-3)
+
+    def test_cli_rejects_negative_jobs(self, capsys):
+        from repro.experiments.cli import main
+        with pytest.raises(SystemExit):
+            main(["table2", "--jobs", "-3"])
+        assert "--jobs must be >= 0" in capsys.readouterr().err
 
     def test_invalid_workers_spec_rejected(self):
         for spec in ("nonsense", "2@nonsense", ":7777", "host:"):
@@ -472,5 +482,7 @@ class TestPoolSelection:
         assert isinstance(executor, LeaseExecutor)
         assert executor.pool_kind == "socket"
         executor.close()
-        assert isinstance(make_executor(jobs=1), SerialExecutor)
-        assert isinstance(make_executor(jobs=2), ParallelExecutor)
+        for jobs, kind in ((1, "inprocess"), (2, "local")):
+            executor = make_executor(jobs=jobs)
+            assert isinstance(executor, LeaseExecutor)
+            assert executor.pool_kind == kind

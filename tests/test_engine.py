@@ -6,13 +6,14 @@ rejection) and the engine's caching contract (zero re-executed runs on
 a warm store, verified via executor call counts).
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.engine import (
-    ExecutionEngine, ParallelExecutor, ResultStore, RunSpec,
-    SerialExecutor, execute_spec, execute_spec_payload, plan_groups,
+    ExecutionEngine, ResultStore, RunSpec, execute_spec,
+    execute_spec_payload, make_executor, plan_groups,
 )
 from repro.experiments import ResultCache
 from repro.experiments import table1, table2
@@ -85,10 +86,37 @@ class TestRunSpec:
             RunSpec(WORKLOAD, SCALE, "pentium4", MACHINE_SCALE,
                     mode="cachegrind")
 
+    def test_rejects_knobs_the_mode_ignores(self):
+        # Each would give an unchanged run a second digest (and a
+        # second store record).
+        with pytest.raises(ValueError, match="with_cachegrind"):
+            RunSpec.dynamo(WORKLOAD, SCALE, "pentium4", MACHINE_SCALE,
+                           with_cachegrind=True)
+        for make in (RunSpec.native, RunSpec.dynamo):
+            for knob in ({"sampling": False}, {"sw_prefetch": True}):
+                with pytest.raises(ValueError, match="sampling"):
+                    make(WORKLOAD, SCALE, "pentium4", MACHINE_SCALE,
+                         **knob)
+        # The modes that do take them still accept them.
+        native_spec(with_cachegrind=True)
+        umi_spec(sampling=False, sw_prefetch=True, with_cachegrind=True)
+
     def test_dict_round_trip(self):
         spec = umi_spec(sampling=False, with_cachegrind=True,
                         umi_overrides=(("frequency_threshold", 4),))
         assert RunSpec.from_dict(spec.to_dict()) == spec
+
+    def test_to_dict_matches_asdict_with_key_order(self):
+        spec = umi_spec(with_cachegrind=True,
+                        consumers=("tlb", "shadow-hwpf"),
+                        umi_overrides=(("frequency_threshold", 4),
+                                       ("warmup_executions", 0)))
+        expected = dataclasses.asdict(spec)
+        expected["consumers"] = list(spec.consumers)
+        expected["umi_overrides"] = [list(kv)
+                                     for kv in spec.umi_overrides]
+        assert spec.to_dict() == expected
+        assert list(spec.to_dict()) == list(expected)
 
     def test_describe_mentions_the_essentials(self):
         label = native_spec(counter_sample_size=100).describe()
@@ -111,8 +139,8 @@ class TestDeterminism:
 
     def test_parallel_executor_matches_serial(self):
         specs = [native_spec(), native_spec(hw_prefetch=True), umi_spec()]
-        serial = SerialExecutor().execute(specs)
-        parallel = ParallelExecutor(jobs=2).execute(specs)
+        serial = make_executor(1).execute(specs)
+        parallel = make_executor(2).execute(specs)
         assert serial == parallel  # full payloads, deterministic order
 
     def test_payload_is_json_stable(self):

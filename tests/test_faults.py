@@ -1,11 +1,11 @@
 """Tests for the resilience layer: fault plans, retries, quarantine.
 
 The load-bearing property is *determinism*: a seeded fault plan run
-through the serial executor and through the parallel executor must
+over the in-process pool and over local worker processes must
 produce byte-identical ``FailedRun`` payloads and identical retry /
 timeout counter values, because fault decisions are pure functions of
 ``(seed, kind, spec digest, attempt)`` and failures are captured at the
-single ``attempt_group`` seam both executors share.  The rest covers
+single ``attempt_group`` seam every pool shares.  The rest covers
 each fault class end to end: crash-then-retry recovery, deadline
 classification, consumer quarantine, torn-record detection and repair,
 checkpoint/resume, interrupt handling, and the CLI surface.
@@ -18,9 +18,9 @@ import time
 import pytest
 
 from repro.engine import (
-    ExecutionEngine, FailedRun, InterruptReport, ParallelExecutor,
-    ResultStore, RetryPolicy, RunSpec, SerialExecutor,
-    SpecExecutionError, is_failed_payload, plan_groups,
+    ExecutionEngine, FailedRun, InProcessPool, InterruptReport,
+    LeaseExecutor, ResultStore, RetryPolicy, RunSpec, SpecExecutionError,
+    is_failed_payload, make_executor, plan_groups,
 )
 from repro.experiments.cli import main
 from repro.engine.protocol import (
@@ -294,7 +294,7 @@ class TestRetryPolicy:
         slept = []
         pol = RetryPolicy(max_attempts=2, backoff_base=0.25,
                           sleep=slept.append)
-        ex = SerialExecutor(retry=pol, strict=True)
+        ex = make_executor(1, retry=pol, strict=True)
         with fault_injection(crash_plan(WORKLOAD, attempts=1)):
             payloads = ex.execute([native_spec()])
         assert payloads[0]["kind"] == "run_outcome"
@@ -303,7 +303,7 @@ class TestRetryPolicy:
         assert counter("executor.retries") == 1
 
     def test_strict_raises_after_exhausting_attempts(self):
-        ex = SerialExecutor(retry=policy(attempts=2), strict=True)
+        ex = make_executor(1, retry=policy(attempts=2), strict=True)
         with fault_injection(crash_plan(WORKLOAD)):
             with pytest.raises(SpecExecutionError) as excinfo:
                 ex.execute([native_spec()])
@@ -318,9 +318,9 @@ class TestFaultDeterminism:
     def _sweep(self, parallel, plan, pol):
         TELEMETRY.reset()
         if parallel:
-            ex = ParallelExecutor(jobs=2, retry=pol, strict=False)
+            ex = make_executor(2, retry=pol, strict=False)
         else:
-            ex = SerialExecutor(retry=pol, strict=False)
+            ex = make_executor(1, retry=pol, strict=False)
         with fault_injection(plan):
             results = ex.execute_groups(
                 [[native_spec()], [native_spec(OTHER)]])
@@ -376,7 +376,7 @@ class TestFaultDeterminism:
                       hang_seconds=0.8),))
         specs = [native_spec(), native_spec(OTHER),
                  native_spec("255.vortex"), native_spec("179.art")]
-        ex = ParallelExecutor(jobs=2, retry=policy(timeout=1.5),
+        ex = make_executor(2, retry=policy(timeout=1.5),
                               strict=False)
         with fault_injection(plan):
             results = ex.execute_groups([[s] for s in specs])
@@ -392,7 +392,7 @@ class TestFaultDeterminism:
         plan = FaultPlan(seed=1, rules=(
             FaultRule(kind="hang", match="*", attempts=99,
                       hang_seconds=8.0),))
-        ex = ParallelExecutor(jobs=2, retry=policy(attempts=2,
+        ex = make_executor(2, retry=policy(attempts=2,
                                                    timeout=0.4),
                               strict=False)
         start = time.monotonic()
@@ -423,7 +423,7 @@ class TestFusedMemberAttribution:
     def test_crashing_member_is_named(self):
         group = self._fused_group()
         plan = crash_plan(group[1].digest()[:12])
-        ex = SerialExecutor(retry=policy(), strict=True)
+        ex = make_executor(1, retry=policy(), strict=True)
         with fault_injection(plan):
             with pytest.raises(SpecExecutionError) as excinfo:
                 ex.execute_groups([group])
@@ -433,7 +433,7 @@ class TestFusedMemberAttribution:
     def test_member_recorded_in_failed_payloads(self):
         group = self._fused_group()
         plan = crash_plan(group[1].digest()[:12])
-        ex = SerialExecutor(retry=policy(), strict=False)
+        ex = make_executor(1, retry=policy(), strict=False)
         with fault_injection(plan):
             results = ex.execute_groups([group])
         assert all(is_failed_payload(p) for p in results[0])
@@ -447,11 +447,11 @@ class TestFusedMemberAttribution:
         monkeypatch.setattr("repro.engine.attempt.run_fused",
                             explode)
         group = self._fused_group()
-        ex = SerialExecutor(retry=policy(), strict=True)
+        ex = make_executor(1, retry=policy(), strict=True)
         with pytest.raises(SpecExecutionError) as excinfo:
             ex.execute_groups([group])
         assert "shared fused execution of 2 specs" in str(excinfo.value)
-        strict_free = SerialExecutor(retry=policy(), strict=False)
+        strict_free = make_executor(1, retry=policy(), strict=False)
         results = strict_free.execute_groups([group])
         assert all(p["failed_member"] is None for p in results[0])
 
@@ -626,7 +626,7 @@ class TestInterrupts:
 
     def test_serial_interrupt_reports_progress(self, global_telemetry):
         calls, on_result = self._interrupt_after_first()
-        ex = SerialExecutor(retry=policy())
+        ex = make_executor(1, retry=policy())
         with pytest.raises(KeyboardInterrupt):
             ex.execute_groups([[native_spec()], [native_spec(OTHER)]],
                               on_result=on_result)
@@ -637,13 +637,90 @@ class TestInterrupts:
 
     def test_parallel_interrupt_terminates_pool_cleanly(self):
         calls, on_result = self._interrupt_after_first()
-        ex = ParallelExecutor(jobs=2, retry=policy())
+        ex = make_executor(2, retry=policy())
         with pytest.raises(KeyboardInterrupt):
             ex.execute_groups([[native_spec()], [native_spec(OTHER)]],
                               on_result=on_result)
         assert ex.last_interrupt is not None
         assert ex.last_interrupt.total == 2
         assert ex.last_interrupt.completed >= 1
+
+
+class TestPerEventResolution:
+    """Each group resolves -- and checkpoints -- as its event lands."""
+
+    GROUPS = [[native_spec()], [native_spec(OTHER)],
+              [native_spec("255.vortex")]]
+
+    @staticmethod
+    def _stub_attempts(monkeypatch, outcome):
+        """Replace the in-process attempt with ``outcome(call_no)``;
+        returns the list of workloads attempted."""
+        calls = []
+
+        def attempt(group, attempt):
+            calls.append(group[0].workload)
+            return outcome(len(calls))
+
+        monkeypatch.setattr("repro.engine.pools.attempt_group", attempt)
+        return calls
+
+    def test_inprocess_interrupt_keeps_finished_groups(self,
+                                                       monkeypatch):
+        def outcome(call):
+            if call == 3:
+                raise KeyboardInterrupt
+            return "ok", [{"kind": "stub", "call": call}]
+
+        self._stub_attempts(monkeypatch, outcome)
+        checkpointed = []
+        ex = LeaseExecutor(InProcessPool(), retry=policy())
+        with pytest.raises(KeyboardInterrupt):
+            ex.execute_groups(
+                self.GROUPS,
+                on_result=lambda index, group, payloads:
+                    checkpointed.append(index))
+        assert checkpointed == [0, 1]
+        assert ex.last_interrupt == InterruptReport(completed=2, total=3)
+
+    def test_strict_inprocess_stops_at_first_exhausted_group(
+            self, monkeypatch):
+        def outcome(call):
+            if call == 2:
+                return "error", {"reason": "error",
+                                 "error": "RuntimeError: boom",
+                                 "traceback": None, "member": 0}
+            return "ok", [{"kind": "stub", "call": call}]
+
+        calls = self._stub_attempts(monkeypatch, outcome)
+        checkpointed = []
+        ex = LeaseExecutor(InProcessPool(), retry=policy(attempts=1),
+                           strict=True)
+        with pytest.raises(SpecExecutionError) as excinfo:
+            ex.execute_groups(
+                self.GROUPS,
+                on_result=lambda index, group, payloads:
+                    checkpointed.append(index))
+        assert excinfo.value.spec == native_spec(OTHER)
+        # The third group was never attempted.
+        assert calls == [WORKLOAD, OTHER]
+        assert checkpointed == [0]
+        assert ex.runs_executed == 1
+
+    def test_fast_group_checkpoints_before_hung_group_lands(self):
+        plan = FaultPlan(seed=1, rules=(
+            FaultRule(kind="hang", match=WORKLOAD, attempts=99,
+                      hang_seconds=3.0),))
+        order = []
+        ex = make_executor(2, retry=policy(), strict=False)
+        with fault_injection(plan):
+            results = ex.execute_groups(
+                [[native_spec()], [native_spec(OTHER)]],
+                on_result=lambda index, group, payloads:
+                    order.append(index))
+        ex.close()
+        assert order == [1, 0]
+        assert all(p[0]["kind"] == "run_outcome" for p in results)
 
 
 class TestAcceptanceWavefront:
@@ -664,13 +741,13 @@ class TestAcceptanceWavefront:
                       hang_seconds=30.0),
         ))
 
-        clean_ex = SerialExecutor(retry=RetryPolicy(), strict=True)
+        clean_ex = make_executor(1, retry=RetryPolicy(), strict=True)
         clean = clean_ex.execute_groups(groups)
 
         # The per-group deadline is measured from each group's own
         # process start -- only the deliberately hung group may
         # overrun it.
-        ex = ParallelExecutor(jobs=2, retry=policy(attempts=2,
+        ex = make_executor(2, retry=policy(attempts=2,
                                                    timeout=2.0),
                               strict=False)
         with fault_injection(plan):

@@ -5,8 +5,8 @@ Covers the four guarantees the subsystem makes:
 * disabled mode is a strict no-op (shared no-op span, empty snapshot,
   bounded per-call overhead) -- the engine wavefront records nothing;
 * span nesting and event ordering are deterministic;
-* a parallel executor run merges worker registries into exactly the
-  counters a serial run of the same specs produces;
+* a local-process (``--jobs 2``) run merges worker registries into
+  exactly the counters an in-process run of the same specs produces;
 * the JSONL event log and metric snapshots round-trip through the
   exporters;
 
@@ -20,8 +20,8 @@ import time
 import pytest
 
 from repro.engine import (
-    ExecutionEngine, ParallelExecutor, ResultStore, RunSpec,
-    SerialExecutor, SpecExecutionError,
+    ExecutionEngine, ResultStore, RunSpec, SpecExecutionError,
+    make_executor,
 )
 from repro.serialize import SCHEMA_VERSION
 from repro.telemetry import (
@@ -188,11 +188,11 @@ class TestParallelMergeEqualsSerial:
                                                     global_telemetry):
         specs = [native_spec(), umi_spec()]
         global_telemetry.enable()
-        SerialExecutor().execute(specs)
+        make_executor(1).execute(specs)
         serial = global_telemetry.snapshot()
 
         global_telemetry.reset()
-        executor = ParallelExecutor(jobs=2)
+        executor = make_executor(2)
         executor.execute(specs)
         parallel = global_telemetry.snapshot()
 
@@ -370,7 +370,7 @@ class TestExecutorFailures:
         bad = RunSpec.native("no-such-workload", SCALE, "pentium4",
                              MACHINE_SCALE)
         good = native_spec()
-        executor = ParallelExecutor(jobs=2)
+        executor = make_executor(2)
         with pytest.raises(SpecExecutionError) as excinfo:
             executor.execute([bad, good])
         assert bad.digest()[:12] in str(excinfo.value)
@@ -382,7 +382,7 @@ class TestExecutorFailures:
     def test_serial_fallback_crash_names_spec(self):
         bad = RunSpec.native("no-such-workload", SCALE, "pentium4",
                              MACHINE_SCALE)
-        executor = ParallelExecutor(jobs=1)
+        executor = make_executor(1)
         with pytest.raises(SpecExecutionError) as excinfo:
             executor.execute([bad])
         assert executor.runs_executed == 0
