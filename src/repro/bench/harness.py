@@ -32,7 +32,7 @@ class BenchResult:
     repeat: int
     #: per-repeat wall-clock seconds, in execution order.
     times: List[float] = field(default_factory=list)
-    #: kernel-specific facts (stream sizes, speedups, memo hits, ...).
+    #: kernel-specific facts (stream sizes, speedups, ...).
     meta: Dict[str, Any] = field(default_factory=dict)
 
     @property

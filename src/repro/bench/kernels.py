@@ -14,12 +14,12 @@ Five kernels cover the repo's hot paths:
     (:class:`repro.core.analyzer.MiniCacheSimulator`) versus the
     retained reference loop
     (:class:`repro.memory.cache_reference.ReferenceMiniCacheSimulator`)
-    on the same synthetic profile stream.  The stream models the
-    paper's operating point: a pool of hot traces re-analysed on every
-    trigger, with triggers spaced one flush interval apart (the
-    prototype flushes on essentially every trigger, Section 5).  Both
-    simulators must produce bit-identical per-pc statistics; the
-    ``speedup`` meta field is the acceptance number guarded by
+    on the address profiles UMI records over the paper's workload suite
+    (:func:`record_paper_profiles`), replayed in recording order with
+    triggers spaced one flush interval apart (the prototype flushes on
+    essentially every trigger, Section 5).  Both simulators must
+    produce bit-identical per-pc statistics; the ``speedup`` meta field
+    is the acceptance number guarded by
     :data:`repro.bench.report.SPEEDUP_FLOORS`.
 ``fullsim``
     The batched Cachegrind-style simulator, fed through the columnar
@@ -42,8 +42,9 @@ Five kernels cover the repo's hot paths:
     Table 4 pipeline in miniature, catching regressions that only
     appear when runtime, analyzer and full simulator compose.
 
-Each kernel rebuilds its inputs from fixed seeds, so timings are
-comparable across runs and the equality assertions are deterministic.
+Each kernel rebuilds its inputs from fixed seeds or fixed workloads, so
+timings are comparable across runs and the equality assertions are
+deterministic.
 """
 
 from __future__ import annotations
@@ -66,35 +67,38 @@ from .harness import BenchResult, run_benchmark
 BENCH_MACHINE = "pentium4"
 BENCH_MACHINE_SCALE = 16
 
+#: Workload scale the ``minisim`` profiles are recorded at (the scale of
+#: the paper wavefront ``umi-experiments all --scale 0.1`` runs).
+MINISIM_SCALE = 0.1
+
 Clock = Callable[[], float]
 
 
-# -- synthetic inputs ---------------------------------------------------------
+# -- recorded inputs ----------------------------------------------------------
 
-def synth_profiles(seed: int = 11, n_unique: int = 12, ops: int = 8,
-                   rows: int = 12, span_lines: int = 96,
-                   jitter_lines: int = 64) -> List[AddressProfile]:
-    """A deterministic pool of synthetic address profiles.
+def record_paper_profiles() -> Tuple[List[str], List[AddressProfile]]:
+    """Address profiles UMI records over the paper's workload suite.
 
-    Each profile walks a strided window over its own base region with
-    seeded jitter and ~10% gap cells (early trace exits), mimicking the
-    row structure the UMI runtime records.
+    Runs UMI with profile retention on every workload of the ``paper``
+    set on the bench machine and returns ``(workloads, profiles)``, the
+    profiles in the order each run's analyzer consumed them.
     """
-    rng = random.Random(seed)
-    profiles = []
-    for i in range(n_unique):
-        base = rng.randrange(1 << 20) << 6
-        profile = AddressProfile(
-            f"bench{i}", [0x4000 + 8 * j for j in range(ops)], rows)
-        for r in range(rows):
-            row = profile.new_row()
-            for j in range(ops):
-                if rng.random() < 0.9:
-                    row[j] = (base + 64 * ((r * ops + j) % span_lines)
-                              + 64 * rng.randrange(jitter_lines))
-        profiles.append(profile)
-    return profiles
+    from repro.core.umi import UMIRuntime
+    from repro.workloads import get_workload
+    from repro.workloads.sets import resolve_set
 
+    machine = get_machine(BENCH_MACHINE, scale=BENCH_MACHINE_SCALE)
+    workloads = resolve_set("paper")
+    profiles: List[AddressProfile] = []
+    for name in workloads:
+        umi = UMIRuntime(get_workload(name).build(MINISIM_SCALE), machine,
+                         UMIConfig(retain_profiles=True))
+        umi.run()
+        profiles += umi.profile_archive
+    return workloads, profiles
+
+
+# -- synthetic inputs ---------------------------------------------------------
 
 def synth_reference_stream(seed: int = 5, n_refs: int = 60_000,
                            n_pcs: int = 40, hot_fraction: float = 0.5,
@@ -231,12 +235,7 @@ def _bench_minisim(quick: bool, warmup: int, repeat: int,
                    clock: Clock) -> BenchResult:
     config = UMIConfig()
     host_l2 = get_machine(BENCH_MACHINE, scale=BENCH_MACHINE_SCALE).l2
-    pool = synth_profiles()
-    # Enough re-analysis cycles for the memo to amortize its recording
-    # cost: the speedup climbs toward the steady-state replay ratio as
-    # cycles grow, and both points sit clear of the 3x floor.
-    cycles = 24 if quick else 48
-    profiles = pool * cycles
+    workloads, profiles = record_paper_profiles()
     # Triggers spaced exactly one flush interval apart: the paper's
     # prototype regime, where the shared cache flushes on (nearly)
     # every analyzer invocation.
@@ -264,10 +263,10 @@ def _bench_minisim(quick: bool, warmup: int, repeat: int,
     reference = run_benchmark("minisim.reference", run_ref,
                               warmup=warmup, repeat=repeat, clock=clock)
     result.meta.update(
+        workloads=len(workloads),
+        scale=MINISIM_SCALE,
         profiles=len(profiles),
-        unique_profiles=len(pool),
         references=opt_sim.references_simulated,
-        memo_hits=opt_sim.memo_hits,
         flushes=opt_sim.flushes,
         reference_median_s=reference.median_s,
         speedup=(reference.median_s / result.median_s

@@ -15,22 +15,17 @@ is shared across all analysed profiles, with its state carried from one
 analysis to the next; and the cache is flushed when the flush interval
 (or more) has elapsed since the analyzer last ran.
 
-Implementation notes.  Profiles are replayed through
+Implementation note.  Each profile is replayed through
 :meth:`~repro.memory.cache.Cache.access_many` -- one flat batch per
-profile instead of a probe/fill call pair per reference -- and repeated
-analyses are memoized: identical ``(trace head, profile contents,
-cache-state epoch)`` triples reuse the recorded result and reinstate the
-recorded post-analysis cache state, so flush-heavy and cold-cache
-regimes skip re-simulation entirely.  Both paths are bit-identical to
+profile instead of a probe/fill call pair per reference -- on every
+cache engine.  The result is bit-identical to
 :class:`repro.memory.cache_reference.ReferenceMiniCacheSimulator`
-(``tests/test_kernel_equivalence.py``); epochs are sound because within
-one analyzer the reference counter gives every simulated access a unique
-timestamp, making replacement decisions invariant to the absolute time
-at which an epoch's state was first produced.
+(``tests/test_kernel_equivalence.py``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -39,11 +34,6 @@ from repro.memory.cache import Cache, CacheConfig
 
 from .config import UMIConfig
 from .profiles import AddressProfile
-
-# Distinct (profile contents, cache epoch) pairs retained for reuse.
-# Entries are promoted to full (snapshot-carrying) records only on their
-# second occurrence, so one-shot profiles never pay the snapshot copy.
-MEMO_CAPACITY = 256
 
 
 @dataclass
@@ -61,11 +51,7 @@ class OpSimResult:
 
 @dataclass
 class AnalysisResult:
-    """Output of analysing one address profile.
-
-    Treat instances as read-only: the analyzer hands the *same* object
-    back for memoized repeats of an identical analysis.
-    """
+    """Output of analysing one address profile."""
 
     trace_head: str
     per_op: Dict[int, OpSimResult] = field(default_factory=dict)
@@ -80,15 +66,12 @@ class AnalysisResult:
         return self.counted_misses / self.counted_refs
 
 
-_STATS_FIELDS = (
-    "reads", "read_misses", "writes", "write_misses", "evictions",
-    "prefetch_fills", "redundant_prefetches", "useful_prefetches",
-    "late_prefetch_stall_cycles",
-)
-
-
 class MiniCacheSimulator:
     """Replays recorded address profiles through a small cache model."""
+
+    # Always 0: the analyzer keeps no memo.  Read by perfbench's layer
+    # tracer for its ``core.memo_hit_ratio`` metric.
+    memo_hits = 0
 
     def __init__(self, config: UMIConfig, host_l2: CacheConfig) -> None:
         self.config = config
@@ -103,16 +86,6 @@ class MiniCacheSimulator:
         # Cumulative per-pc statistics across all analyses (the basis of
         # UMI's per-instruction miss ratios and delinquency labels).
         self.pc_stats: Dict[int, OpSimResult] = {}
-        # Memoization state.  Epoch 0 is the flushed (empty) cache; every
-        # live analysis moves the cache to a fresh epoch, and a memo hit
-        # moves it to the recorded entry's end epoch.  Snapshots only
-        # exist on the array engine; with a custom cache the memo stays
-        # off and analyses always run live.
-        self.memoize = self.cache._fast
-        self.memo_hits = 0
-        self._memo: Dict[tuple, tuple] = {}
-        self._state_epoch = 0
-        self._epoch_alloc = 0
 
     # -- cache state management -------------------------------------------------
 
@@ -134,7 +107,6 @@ class MiniCacheSimulator:
             and now_cycles - self._last_run_cycles >= interval
         ):
             self.cache.flush()
-            self._state_epoch = 0
             self.flushes += 1
             flushed = True
         self._last_run_cycles = now_cycles
@@ -152,122 +124,31 @@ class MiniCacheSimulator:
         if not self.config.shared_cache:
             # Ablation mode: every profile starts from a cold cache.
             self.cache.flush()
-            self._state_epoch = 0
-        skip = self.config.warmup_executions
-
-        key = None
-        entry = None
-        if self.memoize and self.cache._plain:
-            key = (profile.trace_head, skip, self._state_epoch,
-                   profile.content_key())
-            entry = self._memo.get(key)
-            if entry is not None and entry[0]:
-                return self._replay_memo(entry)
-
-        result = self._analyze_live(profile, skip,
-                                    record=entry is not None)
-
-        if key is not None:
-            if entry is not None:
-                # Second occurrence: promote to a full record, keeping
-                # the end epoch allocated the first time around.
-                end_epoch = entry[1]
-                self._memo[key] = self._full_entry(result, end_epoch)
-            else:
-                self._epoch_alloc += 1
-                end_epoch = self._epoch_alloc
-                if len(self._memo) >= MEMO_CAPACITY:
-                    self._memo.pop(next(iter(self._memo)))
-                self._memo[key] = (False, end_epoch)
-            self._state_epoch = end_epoch
-        return result
-
-    def _analyze_live(self, profile: AddressProfile, skip: int,
-                      record: bool = False) -> AnalysisResult:
-        """Simulate for real, via the batch cache kernel.
-
-        With ``record`` the run keeps what :meth:`_full_entry` needs to
-        build a memo record afterwards (the stats baseline and the
-        accessed-line stream).
-        """
-        if record:
-            self._stats_before = tuple(
-                getattr(self.cache.stats, f) for f in _STATS_FIELDS
-            )
-            self._pre_capture = self.cache.state_pre_capture()
         pcs, lines, n_warmup = profile.flat_references(
-            skip_rows=skip, shift=self._line_bits)
-        hits = self.cache.access_many(lines, start_now=self._time)
+            skip_rows=self.config.warmup_executions, shift=self._line_bits)
+        # Ascending stream indices of the misses.
+        misses = self.cache.access_many(lines, start_now=self._time,
+                                        misses_only=True)
         self._time += len(lines)
-        if record:
-            self._last_lines = lines
 
         result = AnalysisResult(trace_head=profile.trace_head)
         result.warmup_refs = n_warmup
-        counted_pcs = pcs[n_warmup:] if n_warmup else pcs
-        counted_hits = hits[n_warmup:] if n_warmup else hits
-        ref_counts = Counter(counted_pcs)
-        n_misses = counted_hits.count(False)
-        if n_misses:
-            miss_counts = Counter(
-                [pc for pc, hit in zip(counted_pcs, counted_hits)
-                 if not hit]
-            )
-            miss_get = miss_counts.get
-        else:
-            miss_get = None
+        counted_pcs = pcs
+        if n_warmup:
+            counted_pcs = pcs[n_warmup:]
+            misses = misses[bisect_left(misses, n_warmup):]
+        miss_counts = Counter(map(pcs.__getitem__, misses))
         # Counter preserves first-occurrence order, so per_op comes out
         # keyed in the order each pc first produced a counted reference.
         per_op = result.per_op
-        if miss_get is None:
-            for pc, refs in ref_counts.items():
-                per_op[pc] = OpSimResult(pc, refs=refs)
-        else:
-            for pc, refs in ref_counts.items():
-                per_op[pc] = OpSimResult(pc, refs=refs,
-                                         misses=miss_get(pc, 0))
+        for pc, refs in Counter(counted_pcs).items():
+            per_op[pc] = OpSimResult(pc, refs=refs, misses=miss_counts[pc])
         result.counted_refs = len(counted_pcs)
-        result.counted_misses = n_misses
+        result.counted_misses = len(misses)
 
         self.profiles_analyzed += 1
-        self.references_simulated += result.counted_refs + result.warmup_refs
+        self.references_simulated += len(lines)
         self._accumulate(per_op)
-        return result
-
-    def _full_entry(self, result: AnalysisResult, end_epoch: int) -> tuple:
-        """Build the delta-carrying memo record for ``result``.
-
-        The ``result`` object itself is retained and handed back on
-        every later hit -- analysis results are read-only to all
-        consumers (delinquency labelling, aggregation), so sharing one
-        instance is safe and skips rebuilding per-op records.
-        """
-        stats_after = tuple(
-            getattr(self.cache.stats, f) for f in _STATS_FIELDS
-        )
-        stats_delta = tuple(
-            after - before
-            for after, before in zip(stats_after, self._stats_before)
-        )
-        time_delta = result.counted_refs + result.warmup_refs
-        return (True, end_epoch, result, stats_delta, time_delta,
-                self.cache.state_delta_for(self._last_lines,
-                                           self._pre_capture))
-
-    def _replay_memo(self, entry: tuple) -> AnalysisResult:
-        """Apply a full memo record without re-simulating."""
-        _, end_epoch, result, stats_delta, time_delta, state_delta = entry
-
-        self.cache.state_apply_delta(state_delta)
-        stats = self.cache.stats
-        for name, delta in zip(_STATS_FIELDS, stats_delta):
-            setattr(stats, name, getattr(stats, name) + delta)
-        self._time += time_delta
-        self._state_epoch = end_epoch
-        self.memo_hits += 1
-        self.profiles_analyzed += 1
-        self.references_simulated += time_delta
-        self._accumulate(result.per_op)
         return result
 
     def _accumulate(self, per_op: Dict[int, OpSimResult]) -> None:

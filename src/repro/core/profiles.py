@@ -17,6 +17,7 @@ returning ``True`` when the write would hit the guard page.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -29,7 +30,7 @@ class AddressProfile:
     before reaching that operation).
     """
 
-    __slots__ = ("trace_head", "op_pcs", "max_rows", "rows", "_ckey")
+    __slots__ = ("trace_head", "op_pcs", "max_rows", "rows")
 
     def __init__(self, trace_head: str, op_pcs: Sequence[int],
                  max_rows: int) -> None:
@@ -39,7 +40,6 @@ class AddressProfile:
         self.op_pcs: Tuple[int, ...] = tuple(op_pcs)
         self.max_rows = max_rows
         self.rows: List[List[Optional[int]]] = []
-        self._ckey: Optional[Tuple] = None
 
     # -- recording -----------------------------------------------------------
 
@@ -47,7 +47,6 @@ class AddressProfile:
         """Allocate and return the next row (caller fills it in place)."""
         if self.full:
             raise OverflowError("address profile is full")
-        self._ckey = None
         row: List[Optional[int]] = [None] * len(self.op_pcs)
         self.rows.append(row)
         return row
@@ -105,46 +104,19 @@ class AddressProfile:
         With ``shift`` the addresses come back pre-shifted (i.e. as line
         addresses), saving the analyzer a second pass over the stream.
         """
-        pcs: List[int] = []
-        addrs: List[int] = []
-        pcs_append = pcs.append
-        pcs_extend = pcs.extend
-        addrs_append = addrs.append
-        addrs_extend = addrs.extend
-        op_pcs = self.op_pcs
         rows = self.rows
-        n_warmup = 0
-        # Rows with no gaps (executions that ran the whole trace -- the
-        # common case) flatten with C-level extend/listcomp; only rows
-        # with ``None`` cells walk cell by cell.
-        for i, row in enumerate(rows):
-            if i == skip_rows:
-                n_warmup = len(pcs)
-            if None in row:
-                for pc, addr in zip(op_pcs, row):
-                    if addr is not None:
-                        pcs_append(pc)
-                        addrs_append(addr >> shift)
-            else:
-                pcs_extend(op_pcs)
-                addrs_extend([addr >> shift for addr in row])
-        if skip_rows >= len(rows):
-            n_warmup = len(pcs)
+        # Row-major cell order, built by C-level list operations; only a
+        # profile with gap cells (early trace exits) pays for a mask.
+        cells = list(chain.from_iterable(rows))
+        pcs = list(self.op_pcs) * len(rows)
+        n_warmup = min(skip_rows, len(rows)) * len(self.op_pcs)
+        if None in cells:
+            keep = [cell is not None for cell in cells]
+            pcs = list(compress(pcs, keep))
+            cells = list(compress(cells, keep))
+            n_warmup = keep[:n_warmup].count(True)
+        addrs = [cell >> shift for cell in cells]
         return pcs, addrs, n_warmup
-
-    def content_key(self) -> Tuple:
-        """Hashable digest of the recorded contents.
-
-        Two profiles with equal keys replay identically through the mini
-        simulator; the analyzer uses this (with the cache-state epoch)
-        to memoize repeated analyses.  The key is cached until the next
-        :meth:`new_row` -- rows are filled in place right after
-        allocation and must not be mutated afterwards.
-        """
-        key = self._ckey
-        if key is None:
-            key = self._ckey = (self.op_pcs, tuple(map(tuple, self.rows)))
-        return key
 
     def record_count(self) -> int:
         """Total non-empty cells (references recorded)."""

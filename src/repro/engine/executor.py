@@ -149,6 +149,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.timeout is not None and not self.timeout > 0:
+            raise ValueError("timeout must be > 0 seconds (None = unbounded)")
 
     def backoff(self, failed_attempt: int) -> float:
         """Seconds to wait after attempt ``failed_attempt`` failed."""

@@ -323,6 +323,10 @@ def _main(argv) -> int:
                      "resume from without a persistent result store")
     if args.retries < 1:
         parser.error("--retries must be >= 1")
+    if args.timeout is not None and not args.timeout > 0:
+        parser.error("--timeout must be > 0 seconds")
+    if not args.scale > 0:
+        parser.error("--scale must be > 0")
     if args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 = all cores)")
     if args.workers is not None and args.jobs != 1:
@@ -427,6 +431,10 @@ def _run_store(args, parser) -> int:
                      f"{args.target!r}; use: umi-experiments store fsck")
     if args.store is None:
         parser.error("store fsck needs --store DIR")
+    if not os.path.isdir(args.store):
+        # ResultStore would create the directory: a mistyped path must
+        # not pass as an empty, healthy store.
+        parser.error(f"store fsck: no store directory at {args.store!r}")
     report = ResultStore(args.store).fsck(repair=args.repair)
     print(report.render())
     if report.problems and not args.repair:

@@ -41,8 +41,8 @@ from .policies import (
     BitPLRUPolicy, FIFOPolicy, LRUPolicy, ReplacementPolicy, make_policy,
 )
 
-#: Drains a ``map()`` at C speed without building a list (used to apply
-#: columnar state deltas via ``list.__setitem__``).
+#: Drains a ``map()`` at C speed without building a list (used for
+#: columnar stores via ``list.__setitem__``).
 _consume = deque(maxlen=0).extend
 
 #: Endless ``True`` source for vectorized flag stores
@@ -859,67 +859,6 @@ class Cache:
             return
         for cache_set in self._sets:
             cache_set.clear()
-
-    # -- replacement-state deltas (analyzer memoization) ----------------------
-
-    def state_pre_capture(self):
-        """Residency baseline for a later :meth:`state_delta_for`."""
-        return dict(self._where), list(self._set_len)
-
-    def state_delta_for(self, line_addrs, pre):
-        """Sparse delta of the slots a demand stream just touched.
-
-        After an :meth:`access_many` run over ``line_addrs``, every slot
-        the run modified has, as its final occupant, one of those lines
-        (a hit leaves the line in place; an eviction's slot is refilled
-        by the line that evicted it) -- so the touched-slot set is
-        recoverable from the final residency map alone, in O(stream)
-        rather than O(cache).  ``pre`` is the :meth:`state_pre_capture`
-        taken before the run; applying the result via
-        :meth:`state_apply_delta` to a cache whose *live* state matches
-        the run's starting state reproduces the run's end state exactly.
-        Only valid on a ``_plain`` non-PLRU cache (the analyzer's), where
-        ready/pref/dirty/mru never leave their initial values and so
-        need no delta columns.
-        """
-        pre_where, pre_set_len = pre
-        where = self._where
-        tags = self._tags
-        stamps = self._stamps
-        order = self._order
-        slots = tuple(sorted(
-            {s for s in map(where.get, set(line_addrs))
-             if s is not None}
-        ))
-        return (
-            slots,
-            tuple([tags[s] for s in slots]),
-            tuple([stamps[s] for s in slots]),
-            tuple([order[s] for s in slots]),
-            # Lines displaced during the run (deterministic per epoch).
-            tuple(line for line, s in pre_where.items()
-                  if tags[s] != line),
-            {tags[s]: s for s in slots},
-            tuple((i, n) for i, n in enumerate(self._set_len)
-                  if n != pre_set_len[i]),
-            self._fill_seq,
-        )
-
-    def state_apply_delta(self, delta) -> None:
-        """Replay a :meth:`state_delta_for` record (fast engine only)."""
-        (slots, tags_v, stamps_v, orders_v, dels, news, setlens,
-         fill_seq) = delta
-        where = self._where
-        for line in dels:
-            del where[line]
-        where.update(news)
-        set_len = self._set_len
-        for i, n in setlens:
-            set_len[i] = n
-        _consume(map(self._tags.__setitem__, slots, tags_v))
-        _consume(map(self._stamps.__setitem__, slots, stamps_v))
-        _consume(map(self._order.__setitem__, slots, orders_v))
-        self._fill_seq = fill_seq
 
     def resident_lines(self) -> int:
         if self._fast:

@@ -103,7 +103,8 @@ class TestReport:
         assert check_floors(report) == []
 
     def test_floor_fails_below(self):
-        report = build_report({"minisim": make_result(speedup=2.5)})
+        below = SPEEDUP_FLOORS["minisim"] - 0.1
+        report = build_report({"minisim": make_result(speedup=below)})
         failures = check_floors(report)
         assert len(failures) == 1
         assert "minisim" in failures[0]
@@ -185,6 +186,30 @@ class TestReport:
         rendered = render_report(report)
         assert "minisim" in rendered and "fullsim" in rendered
         assert "4.00x" in rendered
+
+
+class TestKernels:
+    def test_minisim_replays_recorded_paper_profiles(self, monkeypatch):
+        """The kernel's input is UMI's recorded profiles, not synthetic."""
+        from repro.bench import run_kernel
+        from repro.core.analyzer import MiniCacheSimulator
+        from repro.workloads.sets import resolve_set
+
+        heads = []
+        analyze = MiniCacheSimulator.analyze
+
+        def spy(self, profile):
+            heads.append(profile.trace_head)
+            return analyze(self, profile)
+
+        monkeypatch.setattr(MiniCacheSimulator, "analyze", spy)
+        # Raises AssertionError if the two simulators disagree.
+        result = run_kernel("minisim", quick=True, warmup=0, repeat=1)
+        meta = result.meta
+        assert meta["workloads"] == len(resolve_set("paper"))
+        assert meta["profiles"] > 0 and meta["references"] > 0
+        assert meta["speedup"] > 0
+        assert heads and not any(h.startswith("bench") for h in heads)
 
 
 class TestCLI:

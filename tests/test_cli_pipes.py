@@ -50,6 +50,7 @@ def telemetry_dir(tmp_path):
 
 @pytest.mark.parametrize("subcommand", ["telemetry", "list", "store"])
 def test_closed_reader_exits_quietly(subcommand, telemetry_dir, tmp_path):
+    (tmp_path / "store").mkdir()
     args = {
         "telemetry": ["telemetry", str(telemetry_dir)],
         "list": ["--list"],

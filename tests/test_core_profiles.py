@@ -56,6 +56,25 @@ class TestAddressProfile:
         refs = list(profile.iter_references())
         assert len(refs) == 1 and refs[0][1] == 42
 
+    @pytest.mark.parametrize("skip_rows", [0, 1, 2, 3, 9])
+    @pytest.mark.parametrize("shift", [0, 6])
+    @pytest.mark.parametrize("gaps", [False, True])
+    def test_flat_references_match_iter_references(self, skip_rows, shift,
+                                                   gaps):
+        profile = self.make(ops=3, rows=4)
+        for r in range(3):
+            row = profile.new_row()
+            for j in range(3):
+                if not (gaps and (r + j) % 2):
+                    row[j] = 0x1000 + 64 * (3 * r + j) + j
+        want = list(profile.iter_references(skip_rows=skip_rows))
+        pcs, addrs, n_warmup = profile.flat_references(
+            skip_rows=skip_rows, shift=shift)
+        assert pcs == [pc for pc, _, _ in want]
+        assert addrs == [addr >> shift for _, addr, _ in want]
+        assert n_warmup == sum(1 for _, _, counted in want
+                               if not counted)
+
     def test_record_count(self):
         profile = self.make(ops=2, rows=4)
         row = profile.new_row()

@@ -218,6 +218,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["table99"])
 
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_non_positive_scale_is_a_usage_error(self, scale, capsys):
+        from repro.experiments.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--scale", scale])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--scale must be > 0" in captured.err
+        assert "Table 2" not in captured.out
+
 
 class TestCLIMarkdown:
     def test_markdown_export(self, tmp_path, capsys):

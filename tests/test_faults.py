@@ -284,6 +284,11 @@ class TestFaultyStream:
 
 
 class TestRetryPolicy:
+    @pytest.mark.parametrize("timeout", [0, 0.0, -5, float("nan")])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            RetryPolicy(timeout=timeout)
+
     def test_backoff_is_exponential(self):
         pol = RetryPolicy(max_attempts=3, backoff_base=0.1,
                           backoff_factor=2.0)
@@ -813,6 +818,22 @@ class TestResilienceCLI:
                      "--repair"]) == 0
         assert main(["store", "fsck", "--store", str(store_dir)]) == 0
         assert (store_dir / "quarantine" / victim.name).exists()
+
+    @pytest.mark.parametrize("timeout", ["0", "-5"])
+    def test_non_positive_timeout_is_a_usage_error(self, timeout, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--scale", "0.1", "--timeout", timeout])
+        assert exc.value.code == 2
+        assert "--timeout must be > 0" in capsys.readouterr().err
+
+    def test_fsck_on_missing_store_fails_and_creates_nothing(
+            self, tmp_path, capsys):
+        missing = tmp_path / "mistyped"
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "fsck", "--store", str(missing)])
+        assert exc.value.code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_fsck_requires_store_and_known_action(self, capsys):
         with pytest.raises(SystemExit):
