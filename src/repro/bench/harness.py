@@ -7,6 +7,11 @@ memoization state -- whatever the kernel under test warms), then
 inter-quartile range rather than mean/stddev: medians are robust to the
 scheduler hiccups that dominate short Python timings.
 
+A kernel measured against its retained reference implementation runs
+through :func:`run_paired`, which alternates one optimized and one
+reference call per repeat: host-load drift then lands on both sides of
+the ``speedup`` ratio instead of on whichever side ran second.
+
 The clock is injectable (``clock=time.perf_counter`` by default) so the
 harness itself is testable with a fake deterministic clock
 (``tests/test_bench.py``).  Each benchmark runs under a telemetry span
@@ -18,7 +23,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.telemetry import get_telemetry
 
@@ -75,6 +80,35 @@ class BenchResult:
         )
 
 
+def _time_alternating(name: str, fns: Sequence[Callable[[], Any]],
+                      warmup: int, repeat: int,
+                      clock: Callable[[], float]) -> List[List[float]]:
+    """Per-callable repeat times, calling ``fns`` in turn each round.
+
+    The first callable is the one under test: its median is what the
+    ``bench_median_seconds`` telemetry histogram observes.
+    """
+    if repeat < 1:
+        raise ValueError("repeat must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    times: List[List[float]] = [[] for _ in fns]
+    telemetry = get_telemetry()
+    with telemetry.span("bench.run", labels={"kernel": name},
+                        warmup=warmup, repeat=repeat):
+        for _ in range(warmup):
+            for fn in fns:
+                fn()
+        for _ in range(repeat):
+            for fn, fn_times in zip(fns, times):
+                start = clock()
+                fn()
+                fn_times.append(clock() - start)
+    telemetry.observe("bench_median_seconds", statistics.median(times[0]),
+                      labels={"kernel": name})
+    return times
+
+
 def run_benchmark(
     name: str,
     fn: Callable[[], Any],
@@ -84,20 +118,33 @@ def run_benchmark(
     clock: Callable[[], float] = time.perf_counter,
 ) -> BenchResult:
     """Time ``fn`` with ``warmup`` untimed then ``repeat`` timed calls."""
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
-    result = BenchResult(name=name, warmup=warmup, repeat=repeat)
-    telemetry = get_telemetry()
-    with telemetry.span("bench.run", labels={"kernel": name},
-                        warmup=warmup, repeat=repeat):
-        for _ in range(warmup):
-            fn()
-        for _ in range(repeat):
-            start = clock()
-            fn()
-            result.times.append(clock() - start)
-    telemetry.observe("bench_median_seconds", result.median_s,
-                      labels={"kernel": name})
+    times, = _time_alternating(name, (fn,), warmup, repeat, clock)
+    return BenchResult(name=name, warmup=warmup, repeat=repeat,
+                       times=times)
+
+
+def run_paired(
+    name: str,
+    fn: Callable[[], Any],
+    reference: Callable[[], Any],
+    *,
+    warmup: int = 1,
+    repeat: int = 5,
+    clock: Callable[[], float] = time.perf_counter,
+) -> BenchResult:
+    """Time ``fn`` against ``reference``, alternating the two per call.
+
+    The result holds ``fn``'s times; ``meta`` gets the reference's
+    median (``reference_median_s``) and ``speedup`` = reference median
+    over ``fn`` median.
+    """
+    times, ref_times = _time_alternating(name, (fn, reference), warmup,
+                                         repeat, clock)
+    result = BenchResult(name=name, warmup=warmup, repeat=repeat,
+                         times=times)
+    ref_median = statistics.median(ref_times)
+    result.meta.update(
+        reference_median_s=ref_median,
+        speedup=ref_median / result.median_s if result.median_s else 0.0,
+    )
     return result

@@ -61,7 +61,7 @@ from repro.fullsim.reference import ReferenceCachegrindSimulator
 from repro.memory import get_machine
 from repro.memory.cache_reference import ReferenceMiniCacheSimulator
 
-from .harness import BenchResult, run_benchmark
+from .harness import BenchResult, run_benchmark, run_paired
 
 #: Machine model every kernel simulates (scaled pentium4: 2048-line L2).
 BENCH_MACHINE = "pentium4"
@@ -218,16 +218,9 @@ def _bench_interpreter(quick: bool, warmup: int, repeat: int,
     final = run_opt()
     assert_machine_state_equal(final, run_ref())
 
-    result = run_benchmark("interpreter", run_opt, warmup=warmup,
-                           repeat=repeat, clock=clock)
-    reference = run_benchmark("interpreter.reference", run_ref,
-                              warmup=warmup, repeat=repeat, clock=clock)
-    result.meta.update(
-        workload="em3d", scale=scale, steps=final.steps,
-        reference_median_s=reference.median_s,
-        speedup=(reference.median_s / result.median_s
-                 if result.median_s else 0.0),
-    )
+    result = run_paired("interpreter", run_opt, run_ref, warmup=warmup,
+                        repeat=repeat, clock=clock)
+    result.meta.update(workload="em3d", scale=scale, steps=final.steps)
     return result
 
 
@@ -258,19 +251,14 @@ def _bench_minisim(quick: bool, warmup: int, repeat: int,
     opt_sim = run_opt()
     assert_minisim_equal(opt_sim, run_ref())
 
-    result = run_benchmark("minisim", run_opt, warmup=warmup,
-                           repeat=repeat, clock=clock)
-    reference = run_benchmark("minisim.reference", run_ref,
-                              warmup=warmup, repeat=repeat, clock=clock)
+    result = run_paired("minisim", run_opt, run_ref, warmup=warmup,
+                        repeat=repeat, clock=clock)
     result.meta.update(
         workloads=len(workloads),
         scale=MINISIM_SCALE,
         profiles=len(profiles),
         references=opt_sim.references_simulated,
         flushes=opt_sim.flushes,
-        reference_median_s=reference.median_s,
-        speedup=(reference.median_s / result.median_s
-                 if result.median_s else 0.0),
     )
     return result
 
@@ -325,17 +313,10 @@ def _bench_fullsim(quick: bool, warmup: int, repeat: int,
     opt_sim = run_opt()
     assert_fullsim_equal(opt_sim, run_ref())
 
-    result = run_benchmark("fullsim", run_opt, warmup=warmup,
-                           repeat=repeat, clock=clock)
-    reference = run_benchmark("fullsim.reference", run_ref,
-                              warmup=warmup, repeat=repeat, clock=clock)
-    result.meta.update(
-        references=n_refs,
-        l2_miss_ratio=opt_sim.l2_miss_ratio(),
-        reference_median_s=reference.median_s,
-        speedup=(reference.median_s / result.median_s
-                 if result.median_s else 0.0),
-    )
+    result = run_paired("fullsim", run_opt, run_ref, warmup=warmup,
+                        repeat=repeat, clock=clock)
+    result.meta.update(references=n_refs,
+                       l2_miss_ratio=opt_sim.l2_miss_ratio())
     return result
 
 
@@ -370,18 +351,14 @@ def _bench_pipeline(quick: bool, warmup: int, repeat: int,
         return drive(ReferenceRefStream)
 
     total = run()
-    result = run_benchmark("pipeline", run, warmup=warmup,
-                           repeat=repeat, clock=clock)
-    reference = run_benchmark("pipeline.reference", run_ref,
-                              warmup=warmup, repeat=repeat, clock=clock)
+    result = run_paired("pipeline", run, run_ref, warmup=warmup,
+                        repeat=repeat, clock=clock)
     result.meta.update(
         events=total,
         ns_per_event=(1e9 * result.median_s / total if total else 0.0),
         reference_ns_per_event=(
-            1e9 * reference.median_s / total if total else 0.0),
-        reference_median_s=reference.median_s,
-        speedup=(reference.median_s / result.median_s
-                 if result.median_s else 0.0),
+            1e9 * result.meta["reference_median_s"] / total
+            if total else 0.0),
     )
     return result
 

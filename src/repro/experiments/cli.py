@@ -373,6 +373,27 @@ def _run_bench(args, parser) -> int:
         if unknown:
             parser.error(f"unknown bench kernels: {', '.join(unknown)}; "
                          f"known: {', '.join(KERNELS)}")
+    if args.repeat is not None and args.repeat < 1:
+        parser.error(f"--repeat must be >= 1, got {args.repeat}")
+    if args.warmup is not None and args.warmup < 0:
+        parser.error(f"--warmup must be >= 0, got {args.warmup}")
+
+    # Resolve the baseline before any kernel runs (a bad path fails
+    # fast) and before --output overwrites it.
+    baseline = None
+    baseline_path = args.baseline
+    if baseline_path is None and args.check \
+            and os.path.exists(args.output):
+        baseline_path = args.output
+    if baseline_path is not None:
+        try:
+            baseline = load_report(baseline_path)
+        except FileNotFoundError:
+            parser.error(f"--baseline {baseline_path!r} does not exist")
+        except IsADirectoryError:
+            parser.error(f"--baseline {baseline_path!r} is a directory")
+        except ValueError as exc:
+            parser.error(str(exc))
 
     telemetry = get_telemetry()
     if args.telemetry:
@@ -394,20 +415,6 @@ def _run_bench(args, parser) -> int:
     report = build_report(results, quick=args.quick)
     print(render_report(report))
     print(f"[{len(results)} kernels benchmarked in {elapsed:.1f}s]")
-
-    # Resolve the baseline before --output overwrites it.
-    baseline = None
-    baseline_path = args.baseline
-    if baseline_path is None and args.check \
-            and os.path.exists(args.output):
-        baseline_path = args.output
-    if baseline_path is not None:
-        try:
-            baseline = load_report(baseline_path)
-        except FileNotFoundError:
-            parser.error(f"--baseline {baseline_path!r} does not exist")
-        except ValueError as exc:
-            parser.error(str(exc))
 
     write_report(report, args.output)
     print(f"[report written to {args.output}]")

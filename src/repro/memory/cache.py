@@ -15,9 +15,9 @@ Two engines back the same public API:
   (LRU, FIFO, bit-PLRU): line state lives in flat parallel lists indexed
   by ``set * assoc + way`` with a single ``line_addr -> slot`` dict for
   lookup, and :meth:`Cache.access_many` runs a whole demand stream
-  through one loop with stats accumulated in locals -- retiring all-hit
-  chunks columnar (one ``map()`` probe, one ``range()`` of stamps)
-  whenever the cache has never seen a prefetch or timed fill;
+  through one per-event loop with stats accumulated in locals -- a
+  read-only loop for clean read streams (the analyzer's shape) and a
+  general loop for every other stream;
 * the original **dict engine** (per-set ``dict`` of
   :class:`~repro.memory.lines.CacheLine`) for :class:`RandomPolicy` --
   whose RNG consumes the set's key order -- and for any policy subclass
@@ -31,43 +31,13 @@ exactly what ``min()`` over an insertion-ordered dict did.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import compress, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lines import CacheLine
 from .policies import (
     BitPLRUPolicy, FIFOPolicy, LRUPolicy, ReplacementPolicy, make_policy,
 )
-
-#: Drains a ``map()`` at C speed without building a list (used for
-#: columnar stores via ``list.__setitem__``).
-_consume = deque(maxlen=0).extend
-
-#: Endless ``True`` source for vectorized flag stores
-#: (``map(dirty.__setitem__, slots, _TRUES)``).
-_TRUES = repeat(True)
-
-#: Chunk width of the :meth:`Cache.access_many` vector sublane.  Each
-#: chunk is probed with one C-level ``map(where.get, chunk)`` and its
-#: all-hit prefix retired columnar; the probe costs under a tenth of
-#: processing the chunk event by event, so even miss-heavy streams pay
-#: only a small constant for the attempt.
-_VECTOR_CHUNK = 128
-
-#: Misses cluster (a phase change first-touches its whole working set
-#: in a burst), so after a miss the lane processes a block of this many
-#: events through the per-event body before re-probing the rest of the
-#: chunk columnar -- one re-probe per *cluster*, not per miss.
-_MISS_BLOCK = 16
-
-#: Re-probes allowed per chunk before it is declared miss-heavy and
-#: finishes event by event.  Together with :data:`_MISS_BLOCK` this
-#: bounds the wasted probe work of a thrashing stream at a fraction of
-#: its per-event cost, while a phase-entry miss burst (working-set
-#: turnover inside one chunk) stays on the columnar lane.
-_REPROBE_BUDGET = 4
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -210,10 +180,8 @@ class Cache:
             self._plain = True
             # Weaker flag: writes allowed, but still no prefetch and no
             # future ready time ever -- every ready cell is 0 and every
-            # pref cell False.  Demand-only simulation (the Cachegrind
-            # full simulator's regime) keeps this True forever, which
-            # lets access_many retire all-hit chunks without per-event
-            # stall/prefetch bookkeeping.
+            # pref cell False, so MemoryHierarchy's inline L1 hit paths
+            # may skip the stall/prefetch bookkeeping.
             self._plain_timing = True
         else:
             self._sets: List[Dict[int, CacheLine]] = [
@@ -424,10 +392,12 @@ class Cache:
                 if not hit:
                     self.fill(la, now=now, is_write=w)
 
-        but on the array engine the whole stream runs through one loop
-        with hoisted state and batched stats, and long demand-only
-        streams (no prefetch or timed fill ever -- ``_plain_timing``)
-        retire all-hit chunks through a columnar vector sublane.
+        but on the array engine the whole stream runs through one
+        per-event loop with hoisted state and batched stats, picked by
+        the stream's shape: a clean read-only stream with default
+        timestamps (the analyzer's) takes a loop that touches only the
+        tag, stamp and order columns; every other stream takes the
+        general loop.
         Returns the per-access hit flags -- or, with ``misses_only``,
         just the ascending stream indices of the misses, sparing
         hit-dominated streams the per-event flag list when the caller
@@ -473,9 +443,6 @@ class Cache:
         #: hit flags, or miss indices under ``misses_only``
         out: List = []
         append = out.append
-        n = len(line_addrs)
-        step = _VECTOR_CHUNK
-
         if (writes is None and nows is None and not is_write
                 and self._plain and not plru):
             # Clean read-only consecutive-timestamp lane -- the
@@ -486,282 +453,40 @@ class Cache:
             # stamp store, and misses skip four dead bookkeeping writes.
             # The victim scan runs as C slice ops (min/count/index) --
             # the set is full, and stamp ties fall back to the slow path.
-            #
-            # Long streams additionally run a chunked vector sublane:
-            # one map() probes a whole chunk's slots and the all-hit
-            # *prefix* is retired columnar (one range() of stamps, one
-            # block of hit flags) -- no residency changes before the
-            # first miss, so the pre-computed slots stay valid, and
-            # duplicate lines resolve in stream order because map()
-            # applies stores left to right.  A miss runs a
-            # ``_MISS_BLOCK`` of events through the per-event body (its
-            # fill may have evicted a pre-computed slot, and misses
-            # cluster) before the remainder is re-probed; a chunk that
-            # exhausts ``_REPROBE_BUDGET`` is miss-heavy and finishes
-            # event by event.
             now = start_now
-            pos = 0
-            vector = n >= step
-            while pos < n:
-                if vector:
-                    chunk = line_addrs[pos:pos + step]
-                    pos += step
-                    m = len(chunk)
-                    i = 0
-                    budget = _REPROBE_BUDGET
-                    while True:
-                        seg = chunk[i:] if i else chunk
-                        slot_v = list(map(get, seg))
-                        cut = (slot_v.index(None) if None in slot_v
-                               else m - i)
-                        if cut:
-                            if touch:
-                                # map() stops at the range's end: only
-                                # the prefix slots are stamped.
-                                _consume(map(stamps.__setitem__, slot_v,
-                                             range(now + 1,
-                                                   now + cut + 1)))
-                            now += cut
-                            if not misses_only:
-                                out += [True] * cut
-                            i += cut
-                            if i == m:
-                                break
-                        if not budget:
-                            break
-                        budget -= 1
-                        for line_addr in chunk[i:i + _MISS_BLOCK]:
-                            now += 1
-                            slot = get(line_addr)
-                            if slot is not None:
-                                if not misses_only:
-                                    append(True)
-                                if touch:
-                                    stamps[slot] = now
-                                continue
-                            append(now - start_now - 1
-                                   if misses_only else False)
-                            n_read_misses += 1
-                            set_idx = line_addr & set_mask
-                            if set_len[set_idx] >= assoc:
-                                base = set_idx * assoc
-                                sseg = stamps[base:base + assoc]
-                                oldest = min(sseg)
-                                if sseg.count(oldest) == 1:
-                                    slot = base + sseg.index(oldest)
-                                else:
-                                    slot = victim_slot(base)
-                                del where[tags[slot]]
-                                n_evictions += 1
-                            else:
-                                slot = set_idx * assoc
-                                while tags[slot] is not None:
-                                    slot += 1
-                                set_len[set_idx] += 1
-                            tags[slot] = line_addr
-                            where[line_addr] = slot
-                            stamps[slot] = now
-                            fill_seq += 1
-                            order[slot] = fill_seq
-                        i += _MISS_BLOCK
-                        if i >= m:
-                            i = m
-                            break
-                    if i == m:
-                        continue
-                    chunk = chunk[i:]
-                else:
-                    chunk = line_addrs
-                    pos = n
-                for line_addr in chunk:
-                    now += 1
-                    slot = get(line_addr)
-                    if slot is not None:
-                        if not misses_only:
-                            append(True)
-                        if touch:
-                            stamps[slot] = now
-                        continue
-                    append(now - start_now - 1 if misses_only else False)
-                    n_read_misses += 1
-                    set_idx = line_addr & set_mask
-                    if set_len[set_idx] >= assoc:
-                        base = set_idx * assoc
-                        sseg = stamps[base:base + assoc]
-                        oldest = min(sseg)
-                        if sseg.count(oldest) == 1:
-                            slot = base + sseg.index(oldest)
-                        else:
-                            slot = victim_slot(base)
-                        del where[tags[slot]]
-                        n_evictions += 1
-                    else:
-                        slot = set_idx * assoc
-                        while tags[slot] is not None:
-                            slot += 1
-                        set_len[set_idx] += 1
-                    tags[slot] = line_addr
-                    where[line_addr] = slot
-                    stamps[slot] = now
-                    fill_seq += 1
-                    order[slot] = fill_seq
-            n_reads = n
-        elif (nows is None and start_now >= 0 and n >= step
-                and self._plain_timing):
-            # Chunked vector lane for demand-only streams with writes.
-            # ``_plain_timing`` guarantees every ready cell is 0 and
-            # every pref cell False, and nothing below changes that:
-            # consecutive timestamps from a non-negative start keep
-            # ``now`` above every ready time, so no stall or
-            # useful-prefetch accounting can fire and hit work reduces
-            # to dirty/stamp/mru stores.  All-hit chunk prefixes retire
-            # columnar exactly as in the read-only lane, with the dirty
-            # stores picked out by C-level compress(); a miss runs a
-            # ``_MISS_BLOCK`` of events through a per-event body that
-            # skips the same dead ready/pref bookkeeping before the
-            # remainder is re-probed, and a chunk that exhausts
-            # ``_REPROBE_BUDGET`` finishes event by event.
-            if is_write or writes is not None:
-                self._plain = False
-            now = start_now
-            pos = 0
-            while pos < n:
-                chunk = line_addrs[pos:pos + step]
-                wchunk = (writes[pos:pos + step]
-                          if writes is not None else None)
-                pos += step
-                m = len(chunk)
-                i = 0
-                budget = _REPROBE_BUDGET
-                while True:
-                    seg = chunk[i:] if i else chunk
-                    slot_v = list(map(get, seg))
-                    cut = (slot_v.index(None) if None in slot_v
-                           else m - i)
-                    if cut:
-                        hslots = (slot_v if cut == m - i
-                                  else slot_v[:cut])
-                        if wchunk is None:
-                            nw = cut if is_write else 0
-                            if nw:
-                                _consume(map(dirty.__setitem__, hslots,
-                                             _TRUES))
-                        else:
-                            wslots = list(compress(
-                                hslots, wchunk[i:i + cut]))
-                            nw = len(wslots)
-                            if nw:
-                                _consume(map(dirty.__setitem__, wslots,
-                                             _TRUES))
-                        n_writes += nw
-                        n_reads += cut - nw
-                        if touch:
-                            _consume(map(stamps.__setitem__, hslots,
-                                         range(now + 1, now + cut + 1)))
-                            if plru:
-                                _consume(map(mru.__setitem__, hslots,
-                                             _TRUES))
-                        now += cut
-                        if not misses_only:
-                            out += [True] * cut
-                        i += cut
-                        if i == m:
-                            break
-                    if not budget:
-                        break
-                    budget -= 1
-                    wblk = (wchunk[i:i + _MISS_BLOCK]
-                            if wchunk is not None else repeat(is_write))
-                    for line_addr, w in zip(chunk[i:i + _MISS_BLOCK],
-                                            wblk):
-                        now += 1
-                        if w:
-                            n_writes += 1
-                        else:
-                            n_reads += 1
-                        slot = get(line_addr)
-                        if slot is not None:
-                            if not misses_only:
-                                append(True)
-                            if w:
-                                dirty[slot] = True
-                            if touch:
-                                stamps[slot] = now
-                                if plru:
-                                    mru[slot] = True
-                            continue
-                        append(now - start_now - 1
-                               if misses_only else False)
-                        if w:
-                            n_write_misses += 1
-                        else:
-                            n_read_misses += 1
-                        set_idx = line_addr & set_mask
-                        if set_len[set_idx] >= assoc:
-                            slot = victim_slot(set_idx * assoc)
-                            del where[tags[slot]]
-                            n_evictions += 1
-                        else:
-                            slot = set_idx * assoc
-                            while tags[slot] is not None:
-                                slot += 1
-                            set_len[set_idx] += 1
-                        tags[slot] = line_addr
-                        where[line_addr] = slot
+            for line_addr in line_addrs:
+                now += 1
+                slot = get(line_addr)
+                if slot is not None:
+                    if not misses_only:
+                        append(True)
+                    if touch:
                         stamps[slot] = now
-                        fill_seq += 1
-                        order[slot] = fill_seq
-                        dirty[slot] = w
-                        if plru:
-                            mru[slot] = True
-                    i += _MISS_BLOCK
-                    if i >= m:
-                        i = m
-                        break
-                if i == m:
                     continue
-                wtail = (wchunk[i:] if wchunk is not None
-                         else repeat(is_write))
-                for line_addr, w in zip(chunk[i:], wtail):
-                    now += 1
-                    if w:
-                        n_writes += 1
+                append(now - start_now - 1 if misses_only else False)
+                n_read_misses += 1
+                set_idx = line_addr & set_mask
+                if set_len[set_idx] >= assoc:
+                    base = set_idx * assoc
+                    sseg = stamps[base:base + assoc]
+                    oldest = min(sseg)
+                    if sseg.count(oldest) == 1:
+                        slot = base + sseg.index(oldest)
                     else:
-                        n_reads += 1
-                    slot = get(line_addr)
-                    if slot is not None:
-                        if not misses_only:
-                            append(True)
-                        if w:
-                            dirty[slot] = True
-                        if touch:
-                            stamps[slot] = now
-                            if plru:
-                                mru[slot] = True
-                        continue
-                    append(now - start_now - 1 if misses_only else False)
-                    if w:
-                        n_write_misses += 1
-                    else:
-                        n_read_misses += 1
-                    set_idx = line_addr & set_mask
-                    if set_len[set_idx] >= assoc:
-                        slot = victim_slot(set_idx * assoc)
-                        del where[tags[slot]]
-                        n_evictions += 1
-                    else:
-                        slot = set_idx * assoc
-                        while tags[slot] is not None:
-                            slot += 1
-                        set_len[set_idx] += 1
-                    tags[slot] = line_addr
-                    where[line_addr] = slot
-                    stamps[slot] = now
-                    fill_seq += 1
-                    order[slot] = fill_seq
-                    dirty[slot] = w
-                    if plru:
-                        mru[slot] = True
+                        slot = victim_slot(base)
+                    del where[tags[slot]]
+                    n_evictions += 1
+                else:
+                    slot = set_idx * assoc
+                    while tags[slot] is not None:
+                        slot += 1
+                    set_len[set_idx] += 1
+                tags[slot] = line_addr
+                where[line_addr] = slot
+                stamps[slot] = now
+                fill_seq += 1
+                order[slot] = fill_seq
+            n_reads = len(line_addrs)
         else:
             if is_write or writes is not None:
                 self._plain = False

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.harness import BenchResult, run_benchmark
+from repro.bench.harness import BenchResult, run_benchmark, run_paired
 from repro.bench.report import (
     DEFAULT_EXECUTION, REGRESSION_THRESHOLD, SCHEMA_VERSION,
     SPEEDUP_FLOORS, build_report, check_floors, compare_reports,
@@ -62,6 +62,42 @@ class TestHarness:
             run_benchmark("k", lambda: None, repeat=0)
         with pytest.raises(ValueError):
             run_benchmark("k", lambda: None, warmup=-1)
+
+
+class SteppedClock:
+    """Clock that only moves when a benchmarked callable advances it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+class TestPairedHarness:
+    def test_calls_alternate_opt_and_reference(self):
+        calls = []
+        run_paired("k", lambda: calls.append("opt"),
+                   lambda: calls.append("ref"),
+                   warmup=2, repeat=3, clock=SteppedClock())
+        assert calls == ["opt", "ref"] * 5
+
+    def test_speedup_is_reference_median_over_opt_median(self):
+        clock = SteppedClock()
+        opt_costs = iter([1.0, 2.0, 9.0])
+        ref_costs = iter([3.0, 6.0, 4.0])
+
+        def advance(costs):
+            def call():
+                clock.now += next(costs)
+            return call
+
+        result = run_paired("k", advance(opt_costs), advance(ref_costs),
+                            warmup=0, repeat=3, clock=clock)
+        assert result.times == [1.0, 2.0, 9.0]
+        assert result.median_s == 2.0
+        assert result.meta["reference_median_s"] == 4.0
+        assert result.meta["speedup"] == 2.0
 
 
 def make_result(name="minisim", median=0.010, speedup=4.0):
@@ -245,8 +281,47 @@ class TestCLI:
                      "--output", str(out)])
         assert code == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--repeat", "0"], "--repeat must be >= 1"),
+        (["--warmup", "-1"], "--warmup must be >= 0"),
+    ])
+    def test_bench_cli_rejects_bad_counts(self, flags, message, capsys,
+                                          monkeypatch):
+        import repro.bench
+        from repro.experiments.cli import main
+
+        monkeypatch.setattr(repro.bench, "run_kernels", _no_kernel_runs)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--kernels", "interpreter"] + flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, message", [
+        ("missing", "does not exist"),
+        ("directory", "is a directory"),
+    ])
+    def test_bench_cli_rejects_bad_baseline_before_running(
+            self, kind, message, tmp_path, capsys, monkeypatch):
+        import repro.bench
+        from repro.experiments.cli import main
+
+        monkeypatch.setattr(repro.bench, "run_kernels", _no_kernel_runs)
+        baseline = tmp_path / "baseline"
+        if kind == "directory":
+            baseline.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick", "--kernels", "interpreter",
+                  "--check", "--baseline", str(baseline),
+                  "--output", str(tmp_path / "out.json")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_bench_cli_rejects_unknown_kernel(self):
         from repro.experiments.cli import main
 
         with pytest.raises(SystemExit):
             main(["bench", "--kernels", "nope"])
+
+
+def _no_kernel_runs(*args, **kwargs):
+    raise AssertionError("kernels ran before the bad input was rejected")
