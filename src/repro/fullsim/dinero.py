@@ -105,9 +105,17 @@ def main(argv=None) -> int:
     parser.add_argument("--policy", default="lru",
                         choices=("lru", "fifo", "random", "plru"))
     args = parser.parse_args(argv)
-    config = CacheConfig(size=args.size, assoc=args.assoc,
-                         line_size=args.line)
-    result = simulate_din(args.trace, config, policy=args.policy)
+    try:
+        config = CacheConfig(size=args.size, assoc=args.assoc,
+                             line_size=args.line)
+    except ValueError as exc:
+        parser.error(f"bad cache geometry: {exc}")
+    try:
+        result = simulate_din(args.trace, config, policy=args.policy)
+    except OSError as exc:
+        parser.error(f"cannot read trace {args.trace!r}: {exc.strerror}")
+    except ValueError as exc:
+        parser.error(f"{args.trace}: {exc}")
     print(result.render())
     return 0
 

@@ -9,24 +9,23 @@ to all tags in the set.  If there is a match, the recorded time of the
 matching line is updated.  Otherwise, an empty line, or the oldest line,
 is selected to store the current tag."
 
-Two engines back the same public API:
+One **array engine** runs every built-in policy (LRU, FIFO, bit-PLRU
+and random): line state lives in flat parallel lists indexed by
+``set * assoc + way`` with a single ``line_addr -> slot`` dict for
+lookup, and :meth:`Cache.access_many` runs a whole demand stream
+through one per-event loop with stats accumulated in locals -- a
+read-only loop for clean read streams (the analyzer's shape) and a
+general loop for every other stream.  Any other policy type is
+rejected at construction.
 
-* a **fast array engine** for the deterministic stamp-based policies
-  (LRU, FIFO, bit-PLRU): line state lives in flat parallel lists indexed
-  by ``set * assoc + way`` with a single ``line_addr -> slot`` dict for
-  lookup, and :meth:`Cache.access_many` runs a whole demand stream
-  through one per-event loop with stats accumulated in locals -- a
-  read-only loop for clean read streams (the analyzer's shape) and a
-  general loop for every other stream;
-* the original **dict engine** (per-set ``dict`` of
-  :class:`~repro.memory.lines.CacheLine`) for :class:`RandomPolicy` --
-  whose RNG consumes the set's key order -- and for any policy subclass
-  this module does not know about.
-
-Both engines are bit-identical to :class:`repro.memory.cache_reference.
-ReferenceCache`; ``tests/test_kernel_equivalence.py`` holds them to
-that.  Victim ties on equal stamps are broken by fill order, which is
-exactly what ``min()`` over an insertion-ordered dict did.
+The engine is bit-identical to :class:`repro.memory.cache_reference.
+ReferenceCache`, which runs the policies' ``on_access``/``on_fill``/
+``victim`` hooks over a per-set dict of line objects;
+``tests/test_kernel_equivalence.py`` holds it to that.  A dict's key
+order is fill order, so victim ties on equal stamps are broken by fill
+order (what ``min()`` over the dict does), and a random victim is
+drawn from the set's slots in fill order (what ``RandomPolicy.victim``
+draws from).
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lines import CacheLine
 from .policies import (
-    BitPLRUPolicy, FIFOPolicy, LRUPolicy, ReplacementPolicy, make_policy,
+    BitPLRUPolicy, FIFOPolicy, LRUPolicy, RandomPolicy, ReplacementPolicy,
+    make_policy,
 )
 
 
@@ -138,10 +137,16 @@ class CacheStats:
             setattr(self, field, 0)
 
 
-# Policies the array engine can execute directly.  Exact-type checks on
-# purpose: a subclass may override hooks in ways the flat loops don't
-# replicate, so it falls back to the dict engine.
-_FAST_POLICIES = (LRUPolicy, FIFOPolicy, BitPLRUPolicy)
+#: Column flags per policy type: ``(touch, plru)``.  LRU and PLRU
+#: refresh the stamp on every hit; FIFO orders strictly by fill time;
+#: random ignores stamps.  Exact types on purpose: a subclass may
+#: override hooks in ways the flat loops don't replicate.
+_POLICY_FLAGS = {
+    LRUPolicy: (True, False),
+    FIFOPolicy: (False, False),
+    BitPLRUPolicy: (True, True),
+    RandomPolicy: (False, False),
+}
 
 
 class Cache:
@@ -151,42 +156,40 @@ class Cache:
                  policy: Optional[ReplacementPolicy] = None) -> None:
         self.config = config
         self.policy = policy if policy is not None else LRUPolicy()
+        ptype = type(self.policy)
+        if ptype not in _POLICY_FLAGS:
+            raise ValueError(
+                f"Cache cannot run replacement policy {ptype.__name__}; "
+                f"supported: "
+                f"{', '.join(cls.__name__ for cls in _POLICY_FLAGS)}")
+        self._touch, self._plru = _POLICY_FLAGS[ptype]
+        #: the policy that draws random victims, or None
+        self._random = self.policy if ptype is RandomPolicy else None
         self.stats = CacheStats()
         self._set_mask = config.num_sets - 1
         self._line_bits = config.line_bits
         self._assoc = config.assoc
-        ptype = type(self.policy)
-        self._fast = ptype in _FAST_POLICIES
-        if self._fast:
-            # LRU and PLRU refresh the stamp on every hit; FIFO orders
-            # strictly by fill time.
-            self._touch = ptype is not FIFOPolicy
-            self._plru = ptype is BitPLRUPolicy
-            n = config.num_sets * config.assoc
-            self._tags: List[Optional[int]] = [None] * n
-            self._stamps = [0] * n
-            self._order = [0] * n
-            self._ready = [0] * n
-            self._pref = [False] * n
-            self._dirty = [False] * n
-            self._mru = [False] * n
-            self._where: Dict[int, int] = {}
-            self._set_len = [0] * config.num_sets
-            self._fill_seq = 0
-            # True while no line was ever written, prefetched, or filled
-            # with a future ready time: every ready/pref/dirty cell is
-            # still at its initial value, so batch read streams may skip
-            # that bookkeeping wholesale (the analyzer's entire regime).
-            self._plain = True
-            # Weaker flag: writes allowed, but still no prefetch and no
-            # future ready time ever -- every ready cell is 0 and every
-            # pref cell False, so MemoryHierarchy's inline L1 hit paths
-            # may skip the stall/prefetch bookkeeping.
-            self._plain_timing = True
-        else:
-            self._sets: List[Dict[int, CacheLine]] = [
-                {} for _ in range(config.num_sets)
-            ]
+        n = config.num_sets * config.assoc
+        self._tags: List[Optional[int]] = [None] * n
+        self._stamps = [0] * n
+        self._order = [0] * n
+        self._ready = [0] * n
+        self._pref = [False] * n
+        self._dirty = [False] * n
+        self._mru = [False] * n
+        self._where: Dict[int, int] = {}
+        self._set_len = [0] * config.num_sets
+        self._fill_seq = 0
+        # True while no line was ever written, prefetched, or filled
+        # with a future ready time: every ready/pref/dirty cell is
+        # still at its initial value, so batch read streams may skip
+        # that bookkeeping wholesale (the analyzer's entire regime).
+        self._plain = True
+        # Weaker flag: writes allowed, but still no prefetch and no
+        # future ready time ever -- every ready cell is 0 and every
+        # pref cell False, so MemoryHierarchy's inline L1 hit paths
+        # may skip the stall/prefetch bookkeeping.
+        self._plain_timing = True
 
     @classmethod
     def from_spec(cls, size: int, assoc: int, line_size: int = 64,
@@ -220,54 +223,32 @@ class Cache:
             self._plain = False
         else:
             stats.reads += 1
-        if self._fast:
-            slot = self._where.get(line_addr)
-            if slot is None:
-                if is_write:
-                    stats.write_misses += 1
-                else:
-                    stats.read_misses += 1
-                return False, 0
-            stall = 0
-            ready = self._ready[slot]
-            if ready > now:
-                stall = ready - now
-                stats.late_prefetch_stall_cycles += stall
-            if self._pref[slot]:
-                self._pref[slot] = False
-                stats.useful_prefetches += 1
-            if is_write:
-                self._dirty[slot] = True
-            if self._touch:
-                self._stamps[slot] = now
-                if self._plru:
-                    self._mru[slot] = True
-            return True, stall
-        cache_set = self._sets[line_addr & self._set_mask]
-        line = cache_set.get(line_addr)
-        if line is None:
+        slot = self._where.get(line_addr)
+        if slot is None:
             if is_write:
                 stats.write_misses += 1
             else:
                 stats.read_misses += 1
             return False, 0
         stall = 0
-        if line.ready_at > now:
-            stall = line.ready_at - now
+        ready = self._ready[slot]
+        if ready > now:
+            stall = ready - now
             stats.late_prefetch_stall_cycles += stall
-        if line.prefetched:
-            line.prefetched = False
+        if self._pref[slot]:
+            self._pref[slot] = False
             stats.useful_prefetches += 1
         if is_write:
-            line.dirty = True
-        self.policy.on_access(line, now)
+            self._dirty[slot] = True
+        if self._touch:
+            self._stamps[slot] = now
+            if self._plru:
+                self._mru[slot] = True
         return True, stall
 
     def contains(self, line_addr: int) -> bool:
         """Non-destructive residency check (no stats side effects)."""
-        if self._fast:
-            return line_addr in self._where
-        return line_addr in self._sets[line_addr & self._set_mask]
+        return line_addr in self._where
 
     def fill(self, line_addr: int, now: int = 0, ready_at: int = 0,
              prefetched: bool = False, is_write: bool = False) -> Optional[int]:
@@ -277,60 +258,38 @@ class Cache:
         of an already-resident line is counted as redundant and leaves the
         existing line untouched.
         """
-        if self._fast:
-            if prefetched or ready_at:
-                self._plain = False
-                self._plain_timing = False
-            elif is_write:
-                self._plain = False
-            where = self._where
-            if line_addr in where:
-                if prefetched:
-                    self.stats.redundant_prefetches += 1
-                return None
-            set_idx = line_addr & self._set_mask
-            tags = self._tags
-            evicted = None
-            if self._set_len[set_idx] >= self._assoc:
-                slot = self._victim_slot(set_idx * self._assoc)
-                evicted = tags[slot]
-                del where[evicted]
-                self.stats.evictions += 1
-            else:
-                slot = set_idx * self._assoc
-                while tags[slot] is not None:
-                    slot += 1
-                self._set_len[set_idx] += 1
-            tags[slot] = line_addr
-            where[line_addr] = slot
-            self._stamps[slot] = now
-            self._fill_seq += 1
-            self._order[slot] = self._fill_seq
-            self._ready[slot] = ready_at
-            self._pref[slot] = prefetched
-            self._dirty[slot] = is_write
-            self._mru[slot] = self._plru
-            if prefetched:
-                self.stats.prefetch_fills += 1
-            return evicted
-        cache_set = self._sets[line_addr & self._set_mask]
-        existing = cache_set.get(line_addr)
-        if existing is not None:
+        if prefetched or ready_at:
+            self._plain = False
+            self._plain_timing = False
+        elif is_write:
+            self._plain = False
+        where = self._where
+        if line_addr in where:
             if prefetched:
                 self.stats.redundant_prefetches += 1
             return None
+        set_idx = line_addr & self._set_mask
+        tags = self._tags
         evicted = None
-        if len(cache_set) >= self.config.assoc:
-            victim_tag = self.policy.victim(cache_set)
-            del cache_set[victim_tag]
+        if self._set_len[set_idx] >= self._assoc:
+            slot = self._victim_slot(set_idx * self._assoc)
+            evicted = tags[slot]
+            del where[evicted]
             self.stats.evictions += 1
-            evicted = victim_tag
-        line = CacheLine(line_addr, now=now, ready_at=ready_at,
-                         prefetched=prefetched)
-        if is_write:
-            line.dirty = True
-        cache_set[line_addr] = line
-        self.policy.on_fill(line, now)
+        else:
+            slot = set_idx * self._assoc
+            while tags[slot] is not None:
+                slot += 1
+            self._set_len[set_idx] += 1
+        tags[slot] = line_addr
+        where[line_addr] = slot
+        self._stamps[slot] = now
+        self._fill_seq += 1
+        self._order[slot] = self._fill_seq
+        self._ready[slot] = ready_at
+        self._pref[slot] = prefetched
+        self._dirty[slot] = is_write
+        self._mru[slot] = self._plru
         if prefetched:
             self.stats.prefetch_fills += 1
         return evicted
@@ -339,15 +298,20 @@ class Cache:
         """Way index to evict from the full set starting at ``base``.
 
         Ordering matches ``min()`` over an insertion-ordered dict: oldest
-        stamp first, fill order breaking ties.  Only ever called on a
-        *full* set (``_set_len[set] == assoc``), so every slot holds a
-        line and the scan can run as C-level slice operations; the
-        slot-by-slot loop survives only for stamp ties (same-timestamp
-        fills, broken by fill order) and for the PLRU candidate filter.
+        stamp first, fill order breaking ties.  A random victim is drawn
+        from the set's slots in fill order -- the dict's key order.  Only
+        ever called on a *full* set (``_set_len[set] == assoc``), so
+        every slot holds a line and the scan can run as C-level slice
+        operations; the slot-by-slot loop survives only for stamp ties
+        (same-timestamp fills, broken by fill order) and for the PLRU
+        candidate filter.
         """
         end = base + self._assoc
         stamps = self._stamps
         order = self._order
+        if self._random is not None:
+            return self._random.choose(
+                sorted(range(base, end), key=order.__getitem__))
         if self._plru:
             mru = self._mru
             best = -1
@@ -392,12 +356,12 @@ class Cache:
                 if not hit:
                     self.fill(la, now=now, is_write=w)
 
-        but on the array engine the whole stream runs through one
-        per-event loop with hoisted state and batched stats, picked by
-        the stream's shape: a clean read-only stream with default
-        timestamps (the analyzer's) takes a loop that touches only the
-        tag, stamp and order columns; every other stream takes the
-        general loop.
+        but the whole stream runs through one per-event loop with
+        hoisted state and batched stats, picked by the stream's shape: a
+        clean read-only stream with default timestamps on a stamp-victim
+        cache (the analyzer's) takes a loop that touches only the tag,
+        stamp and order columns; every other stream (and every PLRU or
+        random cache) takes the general loop.
         Returns the per-access hit flags -- or, with ``misses_only``,
         just the ascending stream indices of the misses, sparing
         hit-dominated streams the per-event flag list when the caller
@@ -405,22 +369,6 @@ class Cache:
         The default timestamps (``start_now + i + 1``) mirror the
         analyzer's pre-incremented reference counter.
         """
-        if not self._fast:
-            out: List = []
-            now = start_now
-            for i, line_addr in enumerate(line_addrs):
-                now = nows[i] if nows is not None else now + 1
-                w = writes[i] if writes is not None else is_write
-                hit, _ = self.probe(line_addr, w, now)
-                if not hit:
-                    self.fill(line_addr, now=now, is_write=w)
-                if misses_only:
-                    if not hit:
-                        out.append(i)
-                else:
-                    out.append(hit)
-            return out
-
         where = self._where
         get = where.get
         tags = self._tags
@@ -444,7 +392,7 @@ class Cache:
         out: List = []
         append = out.append
         if (writes is None and nows is None and not is_write
-                and self._plain and not plru):
+                and self._plain and not plru and self._random is None):
             # Clean read-only consecutive-timestamp lane -- the
             # analyzer's whole workload.  ``_plain`` guarantees every
             # ready/pref/dirty cell is still at its initial value and
@@ -553,42 +501,33 @@ class Cache:
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop one line; returns whether it was present."""
-        if self._fast:
-            slot = self._where.pop(line_addr, None)
-            if slot is None:
-                return False
-            self._tags[slot] = None
-            self._set_len[line_addr & self._set_mask] -= 1
-            return True
-        cache_set = self._sets[line_addr & self._set_mask]
-        return cache_set.pop(line_addr, None) is not None
+        slot = self._where.pop(line_addr, None)
+        if slot is None:
+            return False
+        self._tags[slot] = None
+        self._set_len[line_addr & self._set_mask] -= 1
+        return True
 
     def flush(self) -> None:
         """Drop every line (the analyzer's periodic decontamination)."""
-        if self._fast:
-            where = self._where
-            if len(where) * 4 < len(self._tags):
-                # Sparsely populated: clear per resident line instead of
-                # reallocating whole arrays (flushes run on nearly every
-                # analyzer trigger, usually with few lines live).
-                tags = self._tags
-                set_len = self._set_len
-                assoc = self._assoc
-                for slot in where.values():
-                    tags[slot] = None
-                    set_len[slot // assoc] = 0
-            else:
-                self._tags = [None] * len(self._tags)
-                self._set_len = [0] * len(self._set_len)
-            where.clear()
-            return
-        for cache_set in self._sets:
-            cache_set.clear()
+        where = self._where
+        if len(where) * 4 < len(self._tags):
+            # Sparsely populated: clear per resident line instead of
+            # reallocating whole arrays (flushes run on nearly every
+            # analyzer trigger, usually with few lines live).
+            tags = self._tags
+            set_len = self._set_len
+            assoc = self._assoc
+            for slot in where.values():
+                tags[slot] = None
+                set_len[slot // assoc] = 0
+        else:
+            self._tags = [None] * len(self._tags)
+            self._set_len = [0] * len(self._set_len)
+        where.clear()
 
     def resident_lines(self) -> int:
-        if self._fast:
-            return len(self._where)
-        return sum(len(s) for s in self._sets)
+        return len(self._where)
 
     def __repr__(self) -> str:
         return f"<Cache {self.config.describe()} policy={self.policy.name}>"

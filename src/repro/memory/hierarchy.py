@@ -165,19 +165,18 @@ class MemoryHierarchy:
         "cross multiple cache lines" -- here they simply cost two line
         accesses).
 
-        The common case -- one line, no TLB, an array-engine L1 -- looks
-        the line up once in the L1's ``line -> slot`` map and retires a
-        hit right here on the L1's columns, exactly as
-        :meth:`Cache.probe` would.  The columns are read through the
-        cache on every call because ``flush`` rebinds them.  Everything
-        else goes through ``probe``; every L1 miss goes to
-        :meth:`_miss`.
+        The common case -- one line, no TLB -- looks the line up once in
+        the L1's ``line -> slot`` map and retires a hit right here on the
+        L1's columns, exactly as :meth:`Cache.probe` would.  The columns
+        are read through the cache on every call because ``flush``
+        rebinds them.  Straddles and TLB machines go through ``probe``;
+        every L1 miss goes to :meth:`_miss`.
         """
         line_bits = self._line_bits
         line_addr = addr >> line_bits
         last_line = (addr + size - 1) >> line_bits
         l1 = self.l1
-        if last_line == line_addr and self.tlb is None and l1._fast:
+        if last_line == line_addr and self.tlb is None:
             slot = l1._where.get(line_addr)
             stats = l1.stats
             if is_write:
@@ -276,38 +275,33 @@ class MemoryHierarchy:
         block's code footprint).  Returns the fetch latency.  Instruction
         traffic lands in the L2's demand statistics -- what the hardware
         counters see -- but is invisible to the data-only simulators.
-        An array-engine L1I retires hits on its columns, as
-        :meth:`access` does for the L1D.
+        L1I hits retire on the cache's columns, as :meth:`access` does
+        for the L1D.
         """
         l1i = self.l1i
         if l1i is None:
             return 0
         latency = 0
         l2 = self.l2
-        fast = l1i._fast
-        if fast:
-            where = l1i._where
-            stats = l1i.stats
+        where = l1i._where
+        stats = l1i.stats
         for line_addr in code_lines:
-            if fast:
-                stats.reads += 1
-                slot = where.get(line_addr)
-                if slot is not None:
-                    if not l1i._plain_timing:
-                        ready = l1i._ready[slot]
-                        if ready > now:
-                            stats.late_prefetch_stall_cycles += ready - now
-                        if l1i._pref[slot]:
-                            l1i._pref[slot] = False
-                            stats.useful_prefetches += 1
-                    if l1i._touch:
-                        l1i._stamps[slot] = now
-                        if l1i._plru:
-                            l1i._mru[slot] = True
-                    continue
-                stats.read_misses += 1
-            elif l1i.probe(line_addr, False, now)[0]:
+            stats.reads += 1
+            slot = where.get(line_addr)
+            if slot is not None:
+                if not l1i._plain_timing:
+                    ready = l1i._ready[slot]
+                    if ready > now:
+                        stats.late_prefetch_stall_cycles += ready - now
+                    if l1i._pref[slot]:
+                        l1i._pref[slot] = False
+                        stats.useful_prefetches += 1
+                if l1i._touch:
+                    l1i._stamps[slot] = now
+                    if l1i._plru:
+                        l1i._mru[slot] = True
                 continue
+            stats.read_misses += 1
             latency += self._l2_latency
             if not l2.probe(line_addr, False, now)[0]:
                 latency += self._mem_latency

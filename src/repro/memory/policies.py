@@ -9,13 +9,19 @@ suggests.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict, Sequence
 
 from .lines import CacheLine
 
 
 class ReplacementPolicy:
-    """Strategy interface: pick a victim and observe accesses/fills."""
+    """Strategy interface: pick a victim and observe accesses/fills.
+
+    The hooks are the behavioural contract that
+    :class:`~repro.memory.cache_reference.ReferenceCache` runs; the array
+    engine (:class:`repro.memory.cache.Cache`) re-implements the built-in
+    policies on its columns and is tested against it.
+    """
 
     name = "abstract"
 
@@ -72,8 +78,16 @@ class RandomPolicy(ReplacementPolicy):
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
 
+    def choose(self, candidates: Sequence[int]) -> int:
+        """Draw one of ``candidates`` (listed in fill order).
+
+        The one RNG draw both cache implementations make: ``victim``
+        passes the set's tags, the array engine its slots.
+        """
+        return self._rng.choice(candidates)
+
     def victim(self, cache_set: Dict[int, CacheLine]) -> int:
-        return self._rng.choice(list(cache_set.keys()))
+        return self.choose(list(cache_set))
 
 
 class BitPLRUPolicy(ReplacementPolicy):
@@ -82,8 +96,10 @@ class BitPLRUPolicy(ReplacementPolicy):
     A hit or fill sets the line's bit.  Bits are cleared lazily, at
     eviction: ``victim()`` picks among the lines whose bit is clear,
     and when every bit in the set is set it first clears them all.
-    The victim is the lowest-stamped candidate, for determinism.  The
-    array engine in :mod:`repro.memory.cache` mirrors this exactly.
+    The victim is the lowest-stamped candidate, for determinism.  These
+    hooks are the contract :class:`~repro.memory.cache_reference.
+    ReferenceCache` runs; the array engine in :mod:`repro.memory.cache`
+    mirrors them exactly on its stamp and MRU columns.
     """
 
     name = "plru"

@@ -159,10 +159,12 @@ def replay_din(lines: Iterable[str]):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: malformed din record {line!r}")
-        kind, addr = int(parts[0]), int(parts[1], 16)
+        try:
+            kind, addr = line.split()
+            kind, addr = int(kind), int(addr, 16)
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: malformed din record {line!r}") from None
         if kind not in (DIN_READ, DIN_WRITE, DIN_IFETCH):
             raise ValueError(f"line {lineno}: unknown record type {kind}")
         yield kind == DIN_WRITE, addr

@@ -79,3 +79,34 @@ class TestDinPipeline:
         assert main([str(path), "--size", "1024", "--assoc", "2"]) == 0
         out = capsys.readouterr().out
         assert "miss ratio" in out
+
+
+class TestCLIErrors:
+    """Bad input is a usage error (exit 2, ``dinero: error: ...``)."""
+
+    def _usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "dinero: error:" in err
+        assert "Traceback" not in err
+        return err
+
+    def test_missing_trace(self, tmp_path, capsys):
+        err = self._usage_error([str(tmp_path / "missing.din")], capsys)
+        assert "missing.din" in err
+
+    @pytest.mark.parametrize("flags", [["--size", "1000"], ["--assoc", "0"]])
+    def test_bad_geometry(self, tmp_path, capsys, flags):
+        path = tmp_path / "t.din"
+        path.write_text("0 1000\n1 2000\n")
+        err = self._usage_error([str(path)] + flags, capsys)
+        assert "geometry" in err
+
+    @pytest.mark.parametrize("record", ["zz", "0 zz"])
+    def test_malformed_record(self, tmp_path, capsys, record):
+        path = tmp_path / "bad.din"
+        path.write_text(f"0 1000\n{record}\n")
+        err = self._usage_error([str(path)], capsys)
+        assert f"line 2: malformed din record {record!r}" in err

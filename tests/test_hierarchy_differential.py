@@ -217,12 +217,12 @@ def run_ops(hier, ops):
 
 
 def resident(cache):
-    """``{line: dirty}`` of every resident line, for either engine."""
-    if getattr(cache, "_fast", False):
-        return {line: cache._dirty[slot]
-                for line, slot in cache._where.items()}
-    return {line: entry.dirty for cache_set in cache._sets
-            for line, entry in cache_set.items()}
+    """``{line: dirty}`` of every resident line, for either cache."""
+    if isinstance(cache, ReferenceCache):
+        return {line: entry.dirty for cache_set in cache._sets
+                for line, entry in cache_set.items()}
+    return {line: cache._dirty[slot]
+            for line, slot in cache._where.items()}
 
 
 def assert_equivalent(fast, ref, recorder, fast_out, ref_out):

@@ -50,6 +50,15 @@ def stream(seed, n, span, repeat_every=7):
     return addrs
 
 
+def assert_same_victims(fast, ref, addrs, start_now):
+    """Probe/fill ``addrs`` on both sides: same hits, same victims."""
+    for now, line in enumerate(addrs, start=start_now):
+        hit = fast.probe(line, False, now)
+        assert hit == ref.probe(line, False, now)
+        if not hit[0]:
+            assert fast.fill(line, now=now) == ref.fill(line, now=now)
+
+
 def assert_stats_equal(fast, ref):
     for field in ("reads", "read_misses", "writes", "write_misses",
                   "evictions", "prefetch_fills", "redundant_prefetches",
@@ -78,8 +87,9 @@ class TestCacheEquivalence:
         assert fast.resident_lines() == ref.resident_lines()
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
-    def test_invalidate_and_contains(self, geometry):
-        fast, ref = make_pair(*geometry)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_invalidate_and_contains(self, geometry, policy):
+        fast, ref = make_pair(*geometry, policy=policy, seed=11)
         span = 2 * (fast.config.num_sets * fast.config.assoc)
         addrs = stream(5, 600, span)
         for now, line in enumerate(addrs, start=1):
@@ -91,6 +101,11 @@ class TestCacheEquivalence:
         for line in rng.sample(addrs, 100):
             assert fast.contains(line) == ref.contains(line)
             assert fast.invalidate(line) == ref.invalidate(line)
+        assert fast.resident_lines() == ref.resident_lines()
+        # Refill the holes and keep evicting: the victims must agree
+        # once slot position and fill order part ways.
+        assert_same_victims(fast, ref, stream(6, 600, span), 601)
+        assert_stats_equal(fast, ref)
         assert fast.resident_lines() == ref.resident_lines()
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
@@ -158,9 +173,11 @@ class TestCacheEquivalence:
             == ref.access_many(addrs, nows=nows, misses_only=True)
         assert_stats_equal(fast, ref)
 
-    def test_flush_equivalence(self):
-        fast, ref = make_pair(4096, 4, 64)
-        addrs = stream(8, 500, 2 * (fast.config.num_sets * fast.config.assoc))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_flush_equivalence(self, policy):
+        fast, ref = make_pair(4096, 4, 64, policy=policy, seed=5)
+        span = 2 * (fast.config.num_sets * fast.config.assoc)
+        addrs = stream(8, 500, span)
         fast.access_many(addrs)
         ref.access_many(addrs)
         fast.flush()
@@ -168,6 +185,10 @@ class TestCacheEquivalence:
         assert fast.resident_lines() == ref.resident_lines() == 0
         # Streams replay identically after the flush.
         assert fast.access_many(addrs) == ref.access_many(addrs)
+        # Refilled sets keep evicting the same victims.
+        assert_same_victims(fast, ref, stream(12, 500, span), 1001)
+        assert_stats_equal(fast, ref)
+        assert fast.resident_lines() == ref.resident_lines()
 
     @settings(max_examples=40, deadline=None)
     @given(

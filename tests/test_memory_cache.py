@@ -6,6 +6,7 @@ from repro.memory import (
     BitPLRUPolicy, Cache, CacheConfig, FIFOPolicy, LRUPolicy, RandomPolicy,
     make_policy,
 )
+from repro.memory.cache_reference import ReferenceCache
 
 
 def small_cache(assoc=2, sets=4, policy=None):
@@ -163,13 +164,32 @@ class TestPolicies:
         assert cache.contains(0)
 
     def test_random_policy_deterministic_with_seed(self):
-        def victims(seed):
-            cache = small_cache(assoc=2, sets=1, policy=RandomPolicy(seed))
-            cache.fill(0, now=1)
-            cache.fill(1, now=2)
-            cache.fill(2, now=3)
-            return cache.resident_lines(), cache.contains(2)
-        assert victims(3) == victims(3)
+        """Seeded random victims: the array engine evicts exactly the
+        lines the reference cache evicts, and the seed decides them."""
+        config = CacheConfig(size=4 * 2 * 64, assoc=4, line_size=64)
+
+        def victims(cache_cls, seed):
+            cache = cache_cls(config, RandomPolicy(seed))
+            evicted = []
+            for now, line in enumerate([0, 2, 4, 6, 8, 1, 0, 10, 3, 12,
+                                        5, 14, 2, 16, 7, 18, 4, 20], 1):
+                if not cache.probe(line, False, now)[0]:
+                    evicted.append(cache.fill(line, now=now))
+            return evicted
+
+        runs = {}
+        for seed in (3, 8):
+            runs[seed] = victims(Cache, seed)
+            assert runs[seed] == victims(ReferenceCache, seed)
+            assert sum(v is not None for v in runs[seed]) >= 5
+        assert runs[3] != runs[8]
+
+    def test_unknown_policy_type_rejected(self):
+        class SubLRU(LRUPolicy):
+            pass
+
+        with pytest.raises(ValueError, match="SubLRU.*RandomPolicy"):
+            small_cache(policy=SubLRU())
 
     def test_make_policy_names(self):
         for name in ("lru", "fifo", "random", "plru"):
