@@ -1,7 +1,7 @@
 """Benchmark-harness fixtures.
 
 Each benchmark regenerates one of the paper's tables or figures at a
-configurable workload scale (``UMI_BENCH_SCALE`` env var, default 0.5)
+configurable workload scale (``UMI_BENCH_SCALE`` env var, default 1.0)
 and attaches headline numbers to the pytest-benchmark record via
 ``extra_info`` so `pytest benchmarks/ --benchmark-only` output doubles
 as the reproduction log.

@@ -36,13 +36,19 @@ Two kinds of guard run over a report:
   whose median slowed by more than :data:`REGRESSION_THRESHOLD`.
   Absolute timings only transfer between matching hosts, so the
   comparison is skipped (with a note) when the context fingerprints
-  differ.
+  differ.  A fingerprint names the interpreter, not the CPU or its
+  load, so before comparing, the baseline medians are scaled by the
+  host speed this run measured (:func:`host_speed_factor`): the median
+  ratio of the retained reference kernels' medians, which no change to
+  the optimized code moves.  A uniformly slower host passes; one
+  kernel slower than the others still fails.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import statistics
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -135,6 +141,26 @@ def check_floors(report: Dict[str, Any]) -> List[str]:
     return failures
 
 
+def host_speed_factor(current: Dict[str, Any],
+                      baseline: Dict[str, Any]) -> float:
+    """How many times slower this run's host is than the baseline's.
+
+    The median, over the kernels both reports timed against their
+    retained reference (``meta["reference_median_s"]``: ``fullsim``,
+    ``minisim``, ``pipeline``), of current over baseline reference
+    median; 1.0 when no kernel has a reference in both.
+    """
+    base_kernels = baseline.get("kernels", {})
+    ratios = []
+    for name, payload in current.get("kernels", {}).items():
+        ref = payload.get("meta", {}).get("reference_median_s")
+        base_ref = base_kernels.get(name, {}).get("meta", {}).get(
+            "reference_median_s")
+        if ref and base_ref:
+            ratios.append(ref / base_ref)
+    return statistics.median(ratios) if ratios else 1.0
+
+
 def compare_reports(current: Dict[str, Any],
                     baseline: Optional[Dict[str, Any]],
                     threshold: float = REGRESSION_THRESHOLD
@@ -144,7 +170,8 @@ def compare_reports(current: Dict[str, Any],
     Returns a list of human-readable failure strings; an empty list
     means the check passed.  Speedup floors are always enforced; median
     comparisons additionally require a baseline with a matching context
-    fingerprint.
+    fingerprint, and compare against baseline medians scaled by
+    :func:`host_speed_factor`.
     """
     failures = list(check_floors(current))
     if baseline is None:
@@ -158,18 +185,20 @@ def compare_reports(current: Dict[str, Any],
         # transfer.  Speedup floors still apply.
         return failures
     base_kernels = baseline.get("kernels", {})
+    speed = host_speed_factor(current, baseline)
     for name, payload in current.get("kernels", {}).items():
         base = base_kernels.get(name)
         if base is None:
             continue
         base_median = base.get("median_s", 0.0)
+        expected = base_median * speed
         median = payload.get("median_s", 0.0)
-        if base_median > 0 and median > base_median * (1 + threshold):
+        if expected > 0 and median > expected * (1 + threshold):
             failures.append(
                 f"{name}: median {median * 1000:.2f}ms is "
-                f"{median / base_median - 1:+.0%} vs baseline "
-                f"{base_median * 1000:.2f}ms "
-                f"(threshold +{threshold:.0%})")
+                f"{median / expected - 1:+.0%} vs baseline "
+                f"{base_median * 1000:.2f}ms at host speed "
+                f"x{speed:.2f} (threshold +{threshold:.0%})")
     return failures
 
 

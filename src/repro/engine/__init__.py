@@ -12,7 +12,7 @@ socket-connected standalone agents).  See the "Execution engine" and
 """
 
 from .attempt import (
-    attempt_group, execute_group_payloads, execute_spec,
+    attempt_group, cached_program, execute_group_payloads, execute_spec,
     execute_spec_payload, run_lease,
 )
 from .engine import ExecutionEngine
@@ -42,7 +42,8 @@ __all__ = [
     "ProtocolError", "ResultStore", "RetryPolicy", "RunSpec",
     "SPEC_MODES", "Shutdown", "SocketPool",
     "SpecExecutionError", "WorkerHello", "WorkerPool", "WorkerWelcome",
-    "attempt_group", "execute_group_payloads", "execute_spec",
-    "execute_spec_payload", "fusion_key", "is_failed_payload",
-    "make_executor", "make_pool", "plan_groups", "run_lease",
+    "attempt_group", "cached_program", "execute_group_payloads",
+    "execute_spec", "execute_spec_payload", "fusion_key",
+    "is_failed_payload", "make_executor", "make_pool", "plan_groups",
+    "run_lease",
 ]

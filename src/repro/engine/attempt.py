@@ -16,7 +16,11 @@ spec alone -- a spec is self-contained -- so attempts share no state
 with the coordinator; the unit of result is the JSON-safe *payload
 dict* (:func:`repro.serialize.outcome_to_dict`), cheap to ship across
 process and network boundaries and exactly what the persistent store
-writes.
+writes.  The one thing a worker keeps between attempts is the last
+program it built (:func:`cached_program`): runs never write to a
+:class:`~repro.isa.Program`, and :func:`~repro.engine.fusion.plan_groups`
+orders a wavefront program-major, so one entry serves every group of a
+program in a row.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.faults import (
     FaultPlan, InjectedCrash, active_fault_plan, install_fault_plan,
 )
+from repro.isa import Program
 from repro.memory import get_machine
 from repro.runners import (
     MODE_KWARGS, OBSERVER_KWARGS, RunOutcome, run_fused,
@@ -37,6 +42,35 @@ from repro.telemetry import get_telemetry
 from repro.workloads import get_workload
 
 from .spec import RunSpec
+
+
+#: The last program built in this process, as ``((workload, scale),
+#: program)``, or None.
+_last_program: Optional[Tuple[Tuple[str, float], Program]] = None
+
+
+def cached_program(workload: str, scale: float) -> Program:
+    """The program of ``workload`` at ``scale``, built once in a row.
+
+    A one-entry per-process cache: asking again for the same program
+    returns the same object, asking for another drops it first and
+    builds the new one, so at most one extra program stays alive.  The
+    ``workloads.program_builds`` / ``workloads.program_reuses``
+    telemetry counters count the two outcomes.  Sharing is safe because
+    a run never writes to its program (the machine state copies the
+    data image).
+    """
+    global _last_program
+    key = (workload, scale)
+    entry = _last_program
+    if entry is not None and entry[0] == key:
+        get_telemetry().count("workloads.program_reuses")
+        return entry[1]
+    _last_program = None
+    program = get_workload(workload).build(scale)
+    _last_program = (key, program)
+    get_telemetry().count("workloads.program_builds")
+    return program
 
 
 def _observers(spec: RunSpec) -> Dict[str, Any]:
@@ -56,7 +90,7 @@ def execute_group(group: Sequence[RunSpec]) -> List[RunOutcome]:
     only its observers.
     """
     first = group[0]
-    program = get_workload(first.workload).build(first.scale)
+    program = cached_program(first.workload, first.scale)
     machine = get_machine(first.machine, scale=first.machine_scale)
     options: Dict[str, Any] = {}
     if first.mode == "umi":

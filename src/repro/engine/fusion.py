@@ -8,16 +8,19 @@ all: :func:`repro.runners.run_fused` executes once and splits
 per-member outcomes back out, each stored under its member's digest.
 
 :func:`plan_groups` partitions a wavefront of missing specs into such
-groups.  Grouping preserves first-appearance order, and members keep
-their submission order within a group, so executors remain
-deterministic.
+groups, program-major: every group of one program (workload and scale)
+runs back to back, so a worker builds each program once
+(:func:`repro.engine.attempt.cached_program`).  Programs keep their
+first-appearance order, groups their first-appearance order within a
+program, and members their submission order within a group, so
+executors remain deterministic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from operator import attrgetter
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.runners import OBSERVER_KWARGS
 
@@ -43,15 +46,17 @@ def fusion_key(spec: RunSpec) -> Tuple:
 
 
 def plan_groups(specs: Sequence[RunSpec]) -> List[List[RunSpec]]:
-    """Partition specs into fusion groups (ordered, deterministic)."""
-    groups: List[List[RunSpec]] = []
-    index = {}
+    """Partition specs into fusion groups, program-major (ordered,
+    deterministic, one pass)."""
+    by_program: Dict[Tuple[str, float], List[List[RunSpec]]] = {}
+    index: Dict[Tuple, List[RunSpec]] = {}
     for spec in specs:
         key = fusion_key(spec)
-        at = index.get(key)
-        if at is None:
-            index[key] = len(groups)
-            groups.append([spec])
+        group = index.get(key)
+        if group is None:
+            group = index[key] = [spec]
+            by_program.setdefault((spec.workload, spec.scale),
+                                  []).append(group)
         else:
-            groups[at].append(spec)
-    return groups
+            group.append(spec)
+    return [group for groups in by_program.values() for group in groups]

@@ -21,12 +21,12 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core import UMIConfig
 from repro.engine import (
-    ExecutionEngine, ResultStore, RetryPolicy, RunSpec,
+    ExecutionEngine, ResultStore, RetryPolicy, RunSpec, cached_program,
 )
 from repro.isa import Program
 from repro.memory import DEFAULT_MACHINE_SCALE, MachineConfig, get_machine
 from repro.runners import RunOutcome
-from repro.workloads import all_workloads, get_workload
+from repro.workloads import all_workloads
 
 #: Default workload scale for benchmark runs.
 DEFAULT_SCALE = 0.5
@@ -56,7 +56,9 @@ def default_umi_config(
 class ResultCache:
     """Spec-building facade over the execution engine.
 
-    Memoizes program/machine builds in-process and delegates every run
+    Memoizes program/machine builds in-process (a program it has not
+    seen comes from the executor's one-entry program cache,
+    :func:`~repro.engine.cached_program`) and delegates every run
     to an :class:`~repro.engine.ExecutionEngine` -- pass ``jobs`` (or
     ``workers``) to pick its worker pool and/or ``store`` (a directory path or
     :class:`~repro.engine.ResultStore`) for cross-process persistence.
@@ -91,9 +93,8 @@ class ResultCache:
 
     def program(self, workload_name: str) -> Program:
         if workload_name not in self._programs:
-            self._programs[workload_name] = get_workload(
-                workload_name,
-            ).build(self.scale)
+            self._programs[workload_name] = cached_program(
+                workload_name, self.scale)
         return self._programs[workload_name]
 
     # -- specs --------------------------------------------------------------

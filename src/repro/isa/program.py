@@ -110,9 +110,10 @@ class DataSegment:
         """
         base = self.alloc(name, count * elem_size, align=max(8, elem_size))
         if init is not None:
-            getter = init if callable(init) else (lambda i, s=init: s[i])
-            for i in range(count):
-                self.image[base + i * elem_size] = getter(i)
+            getter = init if callable(init) else init.__getitem__
+            self.image.update(zip(
+                range(base, base + count * elem_size, elem_size),
+                map(getter, range(count))))
         return base
 
     @property

@@ -19,7 +19,7 @@ from .policies import (
 from .flat import FlatMemory
 from .prefetch import (
     AdjacentLinePrefetcher, CompositePrefetcher, HardwarePrefetcher,
-    StridePrefetcher, pentium4_prefetcher,
+    Pentium4Prefetcher, StridePrefetcher, pentium4_prefetcher,
 )
 from .tlb import PAGE_BITS, TLB, TLBStats
 
@@ -29,7 +29,7 @@ __all__ = [
     "ReplacementPolicy", "LRUPolicy", "FIFOPolicy", "RandomPolicy",
     "BitPLRUPolicy", "make_policy",
     "HardwarePrefetcher", "AdjacentLinePrefetcher", "StridePrefetcher",
-    "CompositePrefetcher", "pentium4_prefetcher",
+    "CompositePrefetcher", "Pentium4Prefetcher", "pentium4_prefetcher",
     "PENTIUM4", "ATHLON_K7", "XEON", "MACHINES", "DEFAULT_MACHINE_SCALE",
     "get_machine", "make_hw_prefetcher",
     "FlatMemory", "TLB", "TLBStats", "PAGE_BITS",

@@ -257,6 +257,16 @@ class Cache:
         Returns the evicted line address (or ``None``).  A prefetch fill
         of an already-resident line is counted as redundant and leaves the
         existing line untouched.
+
+        A full set's victim is selected right here, so an eviction costs
+        no extra frame.  Ordering matches ``min()`` over an
+        insertion-ordered dict: oldest stamp first, fill order breaking
+        ties; PLRU first drops the lines whose MRU bit is set.  A random
+        victim is drawn from the set's slots in fill order -- the dict's
+        key order.  Every slot of a full set holds a line, so the stamp
+        scan runs as C-level slice operations; the slot-by-slot loop
+        survives only for stamp ties (same-timestamp fills) and for the
+        PLRU candidate filter, where it beats a slice-min.
         """
         if prefetched or ready_at:
             self._plain = False
@@ -269,23 +279,59 @@ class Cache:
                 self.stats.redundant_prefetches += 1
             return None
         set_idx = line_addr & self._set_mask
+        assoc = self._assoc
+        slot = set_idx * assoc
         tags = self._tags
+        stamps = self._stamps
+        order = self._order
         evicted = None
-        if self._set_len[set_idx] >= self._assoc:
-            slot = self._victim_slot(set_idx * self._assoc)
-            evicted = tags[slot]
-            del where[evicted]
-            self.stats.evictions += 1
-        else:
-            slot = set_idx * self._assoc
+        if self._set_len[set_idx] < assoc:
             while tags[slot] is not None:
                 slot += 1
             self._set_len[set_idx] += 1
+        else:
+            base = slot
+            end = base + assoc
+            if self._random is not None:
+                slot = self._random.choose(
+                    sorted(range(base, end), key=order.__getitem__))
+            else:
+                slot = -1
+                if self._plru:
+                    mru = self._mru
+                    best_stamp = best_order = 0
+                    for s in range(base, end):
+                        if not mru[s]:
+                            stamp = stamps[s]
+                            if (slot < 0 or stamp < best_stamp
+                                    or (stamp == best_stamp
+                                        and order[s] < best_order)):
+                                slot, best_stamp, best_order = \
+                                    s, stamp, order[s]
+                    if slot < 0:
+                        # Every line is MRU: clear all bits, then any
+                        # line qualifies.
+                        for s in range(base, end):
+                            mru[s] = False
+                if slot < 0:
+                    seg = stamps[base:end]
+                    oldest = min(seg)
+                    if seg.count(oldest) == 1:
+                        slot = base + seg.index(oldest)
+                    else:
+                        best_order = 0
+                        for s in range(base, end):
+                            if stamps[s] == oldest and (
+                                    slot < 0 or order[s] < best_order):
+                                slot, best_order = s, order[s]
+            evicted = tags[slot]
+            del where[evicted]
+            self.stats.evictions += 1
         tags[slot] = line_addr
         where[line_addr] = slot
-        self._stamps[slot] = now
+        stamps[slot] = now
         self._fill_seq += 1
-        self._order[slot] = self._fill_seq
+        order[slot] = self._fill_seq
         self._ready[slot] = ready_at
         self._pref[slot] = prefetched
         self._dirty[slot] = is_write
@@ -293,52 +339,6 @@ class Cache:
         if prefetched:
             self.stats.prefetch_fills += 1
         return evicted
-
-    def _victim_slot(self, base: int) -> int:
-        """Way index to evict from the full set starting at ``base``.
-
-        Ordering matches ``min()`` over an insertion-ordered dict: oldest
-        stamp first, fill order breaking ties.  A random victim is drawn
-        from the set's slots in fill order -- the dict's key order.  Only
-        ever called on a *full* set (``_set_len[set] == assoc``), so
-        every slot holds a line and the scan can run as C-level slice
-        operations; the slot-by-slot loop survives only for stamp ties
-        (same-timestamp fills, broken by fill order) and for the PLRU
-        candidate filter.
-        """
-        end = base + self._assoc
-        stamps = self._stamps
-        order = self._order
-        if self._random is not None:
-            return self._random.choose(
-                sorted(range(base, end), key=order.__getitem__))
-        if self._plru:
-            mru = self._mru
-            best = -1
-            best_stamp = best_order = 0
-            for slot in range(base, end):
-                if not mru[slot]:
-                    s = stamps[slot]
-                    if (best < 0 or s < best_stamp
-                            or (s == best_stamp and order[slot] < best_order)):
-                        best, best_stamp, best_order = slot, s, order[slot]
-            if best >= 0:
-                return best
-            # Every line is MRU: clear all bits, then any line qualifies.
-            for slot in range(base, end):
-                mru[slot] = False
-        seg = stamps[base:end]
-        oldest = min(seg)
-        if seg.count(oldest) == 1:
-            return base + seg.index(oldest)
-        best = -1
-        best_order = 0
-        for slot in range(base, end):
-            if stamps[slot] == oldest:
-                o = order[slot]
-                if best < 0 or o < best_order:
-                    best, best_order = slot, o
-        return best
 
     def access_many(self, line_addrs: Sequence[int], is_write: bool = False,
                     writes: Optional[Sequence[bool]] = None,
@@ -384,7 +384,10 @@ class Cache:
         plru = self._plru
         touch = self._touch
         fill_seq = self._fill_seq
-        victim_slot = self._victim_slot
+        fill = self.fill
+        # LRU and FIFO evict the oldest stamp, which the loops find with
+        # C slice ops; PLRU, random and stamp ties go through ``fill``.
+        stamp_victims = not plru and self._random is None
 
         n_reads = n_writes = n_read_misses = n_write_misses = 0
         n_evictions = n_useful = n_stall = 0
@@ -392,7 +395,7 @@ class Cache:
         out: List = []
         append = out.append
         if (writes is None and nows is None and not is_write
-                and self._plain and not plru and self._random is None):
+                and self._plain and stamp_victims):
             # Clean read-only consecutive-timestamp lane -- the
             # analyzer's whole workload.  ``_plain`` guarantees every
             # ready/pref/dirty cell is still at its initial value and
@@ -400,7 +403,7 @@ class Cache:
             # is tags/where/stamps/order: hits are a dict probe plus one
             # stamp store, and misses skip four dead bookkeeping writes.
             # The victim scan runs as C slice ops (min/count/index) --
-            # the set is full, and stamp ties fall back to the slow path.
+            # the set is full, and stamp ties fall back to ``fill``.
             now = start_now
             for line_addr in line_addrs:
                 now += 1
@@ -418,10 +421,12 @@ class Cache:
                     base = set_idx * assoc
                     sseg = stamps[base:base + assoc]
                     oldest = min(sseg)
-                    if sseg.count(oldest) == 1:
-                        slot = base + sseg.index(oldest)
-                    else:
-                        slot = victim_slot(base)
+                    if sseg.count(oldest) != 1:
+                        self._fill_seq = fill_seq
+                        fill(line_addr, now)
+                        fill_seq = self._fill_seq
+                        continue
+                    slot = base + sseg.index(oldest)
                     del where[tags[slot]]
                     n_evictions += 1
                 else:
@@ -470,7 +475,16 @@ class Cache:
                     n_read_misses += 1
                 set_idx = line_addr & set_mask
                 if set_len[set_idx] >= assoc:
-                    slot = victim_slot(set_idx * assoc)
+                    base = set_idx * assoc
+                    if stamp_victims:
+                        sseg = stamps[base:base + assoc]
+                        oldest = min(sseg)
+                    if not stamp_victims or sseg.count(oldest) != 1:
+                        self._fill_seq = fill_seq
+                        fill(line_addr, now, 0, False, w)
+                        fill_seq = self._fill_seq
+                        continue
+                    slot = base + sseg.index(oldest)
                     del where[tags[slot]]
                     n_evictions += 1
                 else:

@@ -11,12 +11,18 @@ detector subscribe to.
 Software prefetch instructions (injected by the UMI online optimizer) and
 hardware prefetchers both fill the L2 with *timeliness* modelled through
 per-line ``ready_at`` cycles.
+
+An L1D miss is served by one routine (:meth:`MemoryHierarchy._miss`)
+that probes the L2 inline on its columns, fills with positional
+arguments and trains the hardware prefetcher once
+(:meth:`~repro.memory.prefetch.HardwarePrefetcher.train`); an L1I miss
+probes the L2 inline the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.stream import BATCH_SIZE, LineStream
 
@@ -75,32 +81,6 @@ class MachineConfig:
         )
 
 
-class _PrefetchSink:
-    """The hardware prefetcher's issue sink, bound once per hierarchy.
-
-    Prefetchers call ``sink(line_addr)`` with no notion of time, so the
-    miss path stores the current cycle in :attr:`now` before each
-    ``observe`` instead of allocating a closure over it per miss (so a
-    prefetcher must issue during ``observe``, as the interface says).
-    It holds the L2, not the hierarchy, so no reference cycle keeps a
-    finished hierarchy alive.
-    """
-
-    __slots__ = ("l2", "latency", "now")
-
-    def __init__(self, l2: Cache, latency: int) -> None:
-        self.l2 = l2
-        self.latency = latency
-        self.now = 0
-
-    def __call__(self, line_addr: int) -> None:
-        if line_addr < 0:
-            return
-        now = self.now
-        self.l2.fill(line_addr, now=now, ready_at=now + self.latency,
-                     prefetched=True)
-
-
 #: The instruction-line size the interpreter forms its code-line
 #: addresses with (``pc >> 6``); an L1I must use the same lines.
 CODE_LINE_SIZE = 64
@@ -127,7 +107,6 @@ class MemoryHierarchy:
         self.l1i = (Cache(config.l1i, make_policy(config.replacement))
                     if config.l1i else None)
         self.hw_prefetcher = hw_prefetcher
-        self._prefetch = _PrefetchSink(self.l2, config.memory_latency)
         #: optional data TLB (see :mod:`repro.memory.tlb`); attach one
         #: to study translation overheads.  None by default.
         self.tlb = None
@@ -234,29 +213,52 @@ class MemoryHierarchy:
               now: int) -> int:
         """Service one L1 demand miss the caller has already counted.
 
-        Probes and fills the L2, fills the L1, keeps the per-PC L2
-        counts, trains the hardware prefetcher and publishes the line
-        event; returns the line's whole latency.
+        Probes the L2 on its columns (as :meth:`Cache.probe` would) and
+        fills it on a miss, fills the L1, keeps the per-PC L2 counts,
+        trains the hardware prefetcher and publishes the line event;
+        returns the line's whole latency.
         """
         latency = self._l1_latency + self._l2_latency
         l2 = self.l2
-        l2_hit, l2_stall = l2.probe(line_addr, is_write, now)
+        stats = l2.stats
+        if is_write:
+            stats.writes += 1
+            l2._plain = False
+        else:
+            stats.reads += 1
+        slot = l2._where.get(line_addr)
         track = self.track_per_pc and not is_write
         if track:
             self.pc_l2_refs[pc] = self.pc_l2_refs.get(pc, 0) + 1
+        l2_hit = slot is not None
         if l2_hit:
-            latency += l2_stall
+            ready = l2._ready[slot]
+            if ready > now:
+                latency += ready - now
+                stats.late_prefetch_stall_cycles += ready - now
+            if l2._pref[slot]:
+                l2._pref[slot] = False
+                stats.useful_prefetches += 1
+            if is_write:
+                l2._dirty[slot] = True
+            if l2._touch:
+                l2._stamps[slot] = now
+                if l2._plru:
+                    l2._mru[slot] = True
         else:
+            if is_write:
+                stats.write_misses += 1
+            else:
+                stats.read_misses += 1
             latency += self._mem_latency
-            l2.fill(line_addr, now=now, is_write=is_write)
+            l2.fill(line_addr, now, 0, False, is_write)
             if track:
                 self.pc_l2_misses[pc] = self.pc_l2_misses.get(pc, 0) + 1
-        self.l1.fill(line_addr, now=now, is_write=is_write)
+        self.l1.fill(line_addr, now, 0, False, is_write)
         hw_prefetcher = self.hw_prefetcher
         if hw_prefetcher is not None:
-            sink = self._prefetch
-            sink.now = now
-            hw_prefetcher.observe(pc, line_addr, l2_hit, sink)
+            hw_prefetcher.train(pc, line_addr, l2_hit, l2, now,
+                                self._mem_latency)
         stream = self.line_stream
         if stream.consumers:
             stream.emit(pc, line_addr, is_write, False, l2_hit)
@@ -303,19 +305,34 @@ class MemoryHierarchy:
                 continue
             stats.read_misses += 1
             latency += self._l2_latency
-            if not l2.probe(line_addr, False, now)[0]:
+            l2_stats = l2.stats
+            l2_stats.reads += 1
+            slot = l2._where.get(line_addr)
+            if slot is None:
+                l2_stats.read_misses += 1
                 latency += self._mem_latency
-                l2.fill(line_addr, now=now)
-            l1i.fill(line_addr, now=now)
+                l2.fill(line_addr, now)
+            else:
+                # The L2 stall is charged to its stats, not the fetch.
+                ready = l2._ready[slot]
+                if ready > now:
+                    l2_stats.late_prefetch_stall_cycles += ready - now
+                if l2._pref[slot]:
+                    l2._pref[slot] = False
+                    l2_stats.useful_prefetches += 1
+                if l2._touch:
+                    l2._stamps[slot] = now
+                    if l2._plru:
+                        l2._mru[slot] = True
+            l1i.fill(line_addr, now)
         return latency
 
     # -- prefetch path --------------------------------------------------------
 
     def prefetch_line(self, line_addr: int, now: int = 0) -> None:
         """Bring a line into the L2 (hardware prefetch request)."""
-        sink = self._prefetch
-        sink.now = now
-        sink(line_addr)
+        if line_addr >= 0:
+            self.l2.fill(line_addr, now, now + self._mem_latency, True)
 
     def software_prefetch(self, addr: int, now: int = 0) -> None:
         """A software ``prefetcht2``-style hint for byte address ``addr``."""

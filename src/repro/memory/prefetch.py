@@ -7,12 +7,23 @@ modelled here; they observe the stream of L2 demand accesses and issue
 prefetch fills into the L2.  The AMD K7 model has no hardware prefetcher,
 matching the paper ("The AMD K7 does not have any documented hardware
 prefetching mechanisms").
+
+The hierarchy trains its prefetcher once per L2 demand access through
+:meth:`HardwarePrefetcher.train`, which fills the L2 directly.  The
+default ``train`` runs :meth:`~HardwarePrefetcher.observe` with an
+issue sink; :class:`Pentium4Prefetcher` overrides it with the whole P4
+complex as one routine.  ``observe`` on the component classes stays the
+behavioural contract that routine is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+
+if TYPE_CHECKING:
+    from .cache import Cache
 
 # A prefetch request: the prefetcher asks the hierarchy to bring
 # ``line_addr`` into the L2.  The hierarchy decides latency/timeliness.
@@ -29,6 +40,23 @@ class HardwarePrefetcher:
         """Observe one L2 demand access; may call ``issue`` with line
         addresses to prefetch."""
         raise NotImplementedError
+
+    def train(self, pc: int, line_addr: int, hit: bool, l2: "Cache",
+              now: int, latency: int) -> None:
+        """Observe one L2 demand access at cycle ``now`` and fill every
+        prefetch it issues into ``l2``, ready ``latency`` cycles later.
+
+        Negative line addresses are dropped.  This default runs
+        :meth:`observe`; a prefetcher may override it with an equivalent
+        routine that fills ``l2`` itself.
+        """
+        ready_at = now + latency
+
+        def issue(target: int) -> None:
+            if target >= 0:
+                l2.fill(target, now, ready_at, True)
+
+        self.observe(pc, line_addr, hit, issue)
 
     def reset(self) -> None:
         """Clear internal state."""
@@ -56,7 +84,7 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
         self.issued = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Stream:
     """One tracked prefetch stream."""
 
@@ -65,6 +93,9 @@ class _Stream:
     stride: int = 0
     confidence: int = 0
     last_used: int = 0
+
+
+_last_used = attrgetter("last_used")
 
 
 class StridePrefetcher(HardwarePrefetcher):
@@ -114,7 +145,7 @@ class StridePrefetcher(HardwarePrefetcher):
         stream = self._streams.get(pc)
         if stream is None:
             if len(self._streams) >= self.max_streams:
-                victim = min(self._streams.values(), key=lambda s: s.last_used)
+                victim = min(self._streams.values(), key=_last_used)
                 del self._streams[victim.pc]
             self._streams[pc] = _Stream(pc=pc, last_line=line_addr,
                                         last_used=self._clock)
@@ -166,18 +197,79 @@ class CompositePrefetcher(HardwarePrefetcher):
             part.reset()
 
 
+class Pentium4Prefetcher(CompositePrefetcher):
+    """The Pentium 4's L2 prefetch complex: adjacent-line plus stride.
+
+    :meth:`observe` runs the two parts in turn, as
+    :class:`CompositePrefetcher` does.  :meth:`train` carries out the
+    same complex as one routine on the parts' state -- the buddy line,
+    then the stride stream's update and its prefetches -- and fills the
+    L2 itself, so a miss costs one frame here plus one ``fill`` per
+    prefetch.  The parts keep their ``issued`` and ``page_stops`` counts.
+    """
+
+    def __init__(self) -> None:
+        self.adjacent = AdjacentLinePrefetcher()
+        self.stride = StridePrefetcher(max_streams=8)
+        super().__init__([self.adjacent, self.stride])
+
+    def train(self, pc: int, line_addr: int, hit: bool, l2: "Cache",
+              now: int, latency: int) -> None:
+        stride = self.stride
+        if hit:
+            # Adjacent-line prefetch ignores hits; a miss-triggered
+            # stride prefetcher does too.
+            if not stride.miss_triggered:
+                super().train(pc, line_addr, hit, l2, now, latency)
+            return
+        ready_at = now + latency
+        fill = l2.fill
+        buddy = line_addr ^ 1
+        if buddy >= 0:
+            fill(buddy, now, ready_at, True)
+        self.adjacent.issued += 1
+        clock = stride._clock = stride._clock + 1
+        streams = stride._streams
+        stream = streams.get(pc)
+        if stream is None:
+            if len(streams) >= stride.max_streams:
+                del streams[min(streams.values(), key=_last_used).pc]
+            streams[pc] = _Stream(pc, line_addr, 0, 0, clock)
+            return
+        stream.last_used = clock
+        step = line_addr - stream.last_line
+        stream.last_line = line_addr
+        if step == 0:
+            return
+        if step == stream.stride:
+            confidence = stream.confidence = stream.confidence + 1
+        else:
+            stream.stride = step
+            confidence = stream.confidence = 1
+        if confidence < stride.confidence_threshold:
+            return
+        per_page = stride.LINES_PER_PAGE
+        page = line_addr // per_page
+        target = line_addr + step * stride.distance
+        for _ in range(stride.degree):
+            if stride.page_bounded and target // per_page != page:
+                stride.page_stops += 1
+            else:
+                if target >= 0:
+                    fill(target, now, ready_at, True)
+                stride.issued += 1
+            target += step
+
+
 def pentium4_prefetcher(adjacent: bool = True,
                         stride: bool = True) -> Optional[HardwarePrefetcher]:
     """The Pentium 4's L2 prefetch complex, with independently togglable
     components (the paper keeps adjacent-line prefetching always on when
     "hardware prefetching" is enabled)."""
-    parts: List[HardwarePrefetcher] = []
+    if adjacent and stride:
+        return Pentium4Prefetcher()
     if adjacent:
-        parts.append(AdjacentLinePrefetcher())
+        return AdjacentLinePrefetcher()
     if stride:
-        parts.append(StridePrefetcher(max_streams=8))
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    return CompositePrefetcher(parts)
+        return StridePrefetcher(max_streams=8)
+    return None

@@ -3,8 +3,9 @@
 Turns a registry snapshot + event log into the tables behind
 ``umi-experiments telemetry DIR`` and ``summary.txt``:
 
-* an overview (specs and fusion groups executed, wall time, store hit
-  ratio, analyzer activity, event volume);
+* an overview (specs and fusion groups executed, program builds and
+  reuses, wall time, store hit ratio, analyzer activity, event
+  volume);
 * the slowest executed specs (from ``executor.spec`` span events);
 * per-workload analyzer time share (``span.umi.analyzer`` wall seconds
   against ``span.executor.spec`` wall seconds, per workload label) --
@@ -75,6 +76,12 @@ def overview_table(metrics: List[Dict[str, Any]],
                   _counter_total(metrics, "engine.specs_executed"))
     table.add_row("fusion groups executed",
                   int(_timer_total(metrics, "span.executor.spec", "count")))
+    # Each executing process keeps its last program, so a serial sweep
+    # builds each distinct program once and reuses it for the rest.
+    table.add_row("program builds",
+                  _counter_total(metrics, "workloads.program_builds"))
+    table.add_row("program reuses",
+                  _counter_total(metrics, "workloads.program_reuses"))
     table.add_row("spec wall seconds",
                   "%.3f" % _timer_total(metrics, "span.executor.spec",
                                         "wall_s"))

@@ -8,8 +8,8 @@ from repro.bench.harness import BenchResult, run_benchmark, run_paired
 from repro.bench.report import (
     DEFAULT_EXECUTION, REGRESSION_THRESHOLD, SCHEMA_VERSION,
     SPEEDUP_FLOORS, build_report, check_floors, compare_reports,
-    context_fingerprint, load_report, render_report, report_results,
-    write_report,
+    context_fingerprint, host_speed_factor, load_report, render_report,
+    report_results, write_report,
 )
 
 
@@ -166,6 +166,49 @@ class TestReport:
         baseline = build_report({"minisim": make_result(median=0.010)})
         current = build_report({"minisim": make_result(median=0.002)})
         assert compare_reports(current, baseline) == []
+
+    @staticmethod
+    def timed_report(scales):
+        """Every kernel with a retained reference, plus one without,
+        each optimized and reference median multiplied by its scale."""
+        results = {}
+        for name, base in (("fullsim", 0.015), ("minisim", 0.038),
+                           ("pipeline", 0.054), ("interpreter", 0.013)):
+            scale = scales.get(name, 1.0)
+            result = make_result(name, median=base * scale,
+                                 speedup=None if name == "interpreter"
+                                 else 3.0)
+            if name != "interpreter":
+                result.meta["reference_median_s"] = 3 * base * scale
+            results[name] = result
+        return build_report(results)
+
+    def test_uniformly_slower_host_passes(self):
+        # A host 1.7x slower everywhere (the reference kernels too)
+        # is a slower host, not a regression.
+        baseline = self.timed_report({})
+        slower = self.timed_report(dict.fromkeys(
+            ("fullsim", "minisim", "pipeline", "interpreter"), 1.7))
+        assert host_speed_factor(slower, baseline) == pytest.approx(1.7)
+        assert compare_reports(slower, baseline) == []
+
+    @pytest.mark.parametrize("kernel", ["fullsim", "interpreter"])
+    def test_one_slower_kernel_still_fails(self, kernel):
+        # Only one kernel's optimized code is 1.7x slower: the
+        # references place the host at baseline speed.
+        baseline = self.timed_report({})
+        current = self.timed_report({})
+        current["kernels"][kernel]["median_s"] *= 1.7
+        current["kernels"][kernel]["times_s"] = [
+            t * 1.7 for t in current["kernels"][kernel]["times_s"]]
+        assert host_speed_factor(current, baseline) == pytest.approx(1.0)
+        failures = compare_reports(current, baseline)
+        assert len(failures) == 1 and kernel in failures[0]
+
+    def test_host_speed_defaults_to_one_without_references(self):
+        baseline = build_report({"minisim": make_result(median=0.010)})
+        current = build_report({"minisim": make_result(median=0.020)})
+        assert host_speed_factor(current, baseline) == 1.0
 
     def test_fingerprint_mismatch_skips_median_comparison(self):
         baseline = build_report({"minisim": make_result(median=0.001)})

@@ -8,11 +8,15 @@ third execution.  Every figure a fused run produces must be
 bit-identical to the one-execution-per-spec path.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from repro.engine import RunSpec, execute_group_payloads, \
-    execute_spec_payload, fusion_key, plan_groups
+from repro.engine import RunSpec, attempt, cached_program, \
+    execute_group_payloads, execute_spec_payload, fusion_key, plan_groups
 from repro.engine.fusion import EXECUTION_FIELDS
+from repro.isa import Instruction, MemOperand
 from repro.experiments import ResultCache
 from repro.experiments import table4
 from repro.memory import get_machine
@@ -132,6 +136,21 @@ class TestFusionPlanning:
         other = RunSpec.native("mst", SCALE, "pentium4", MACHINE_SCALE)
         assert plan_groups([a, other, b]) == [[a, b], [other]]
 
+    def test_plan_groups_is_program_major(self):
+        # Every group of one program (workload and scale) is adjacent:
+        # programs keep first-appearance order, groups theirs within a
+        # program, members theirs within a group.
+        em3d, em3d_counted = self.spec(), self.spec(counter_sample_size=100)
+        em3d_umi = RunSpec.umi("em3d", SCALE, "pentium4", MACHINE_SCALE)
+        em3d_longer = RunSpec.native("em3d", 2 * SCALE, "pentium4",
+                                     MACHINE_SCALE)
+        mst = RunSpec.native("mst", SCALE, "pentium4", MACHINE_SCALE)
+        mst_umi = RunSpec.umi("mst", SCALE, "pentium4", MACHINE_SCALE)
+        specs = [em3d, mst, em3d_longer, em3d_umi, mst_umi, em3d_counted]
+        assert plan_groups(specs) == [
+            [em3d, em3d_counted], [em3d_umi], [mst], [mst_umi],
+            [em3d_longer]]
+
     def test_group_payloads_match_singleton_payloads(self):
         group = [self.spec(), self.spec(counter_sample_size=100)]
         fused = execute_group_payloads(group)
@@ -210,3 +229,58 @@ class TestTable4Fusion:
             legacy = run_native(build(name), machine, hw_prefetch=True)
             assert rows[name].hw_p4_pf \
                 == pytest.approx(legacy.hw_l2_miss_ratio, abs=1e-9)
+
+
+def program_fingerprint(program):
+    """Hashes of a program's data image and of every block's
+    instructions (every slot, memory operands field by field)."""
+    def value(field):
+        if isinstance(field, MemOperand):
+            return tuple(getattr(field, name)
+                         for name in MemOperand.__slots__)
+        return field
+
+    image = sorted(program.data.image.items())
+    blocks = [(label, block.base_pc,
+               [[value(getattr(ins, name)) for name in Instruction.__slots__]
+                for ins in block.instructions])
+              for label, block in program.blocks.items()]
+    return (hashlib.sha256(repr(image).encode()).hexdigest(),
+            hashlib.sha256(repr(blocks).encode()).hexdigest())
+
+
+class TestProgramReuse:
+    """One cached program serves runs of every mode, unchanged."""
+
+    NATIVE = RunSpec.native("em3d", SCALE, "pentium4", MACHINE_SCALE)
+    UMI = RunSpec.umi("em3d", SCALE, "pentium4", MACHINE_SCALE,
+                      sw_prefetch=True)
+
+    @staticmethod
+    def payload_bytes(spec):
+        return json.dumps(execute_spec_payload(spec), sort_keys=True)
+
+    def fresh_payload_bytes(self, spec, monkeypatch):
+        monkeypatch.setattr(attempt, "_last_program", None)
+        return self.payload_bytes(spec)
+
+    def test_cached_program_runs_like_a_fresh_build(self, monkeypatch):
+        expected = [self.fresh_payload_bytes(spec, monkeypatch)
+                    for spec in (self.NATIVE, self.UMI)]
+        monkeypatch.setattr(attempt, "_last_program", None)
+        program = cached_program("em3d", SCALE)
+        before = program_fingerprint(program)
+        assert before == program_fingerprint(build("em3d"))
+        # Native, then UMI with software prefetch, on the same object.
+        assert [self.payload_bytes(self.NATIVE),
+                self.payload_bytes(self.UMI)] == expected
+        assert cached_program("em3d", SCALE) is program
+        assert program_fingerprint(program) == before
+
+    def test_one_entry_drops_the_previous_program(self, monkeypatch):
+        monkeypatch.setattr(attempt, "_last_program", None)
+        first = cached_program("em3d", SCALE)
+        assert cached_program("em3d", SCALE) is first
+        assert cached_program("em3d", 2 * SCALE) is not first
+        assert cached_program("mst", SCALE) is not first
+        assert cached_program("em3d", SCALE) is not first

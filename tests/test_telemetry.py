@@ -427,3 +427,20 @@ class TestCLITelemetry:
         rows = dict(overview_table(*load_telemetry_dir(directory)).rows)
         assert rows["specs executed"] == executed == 4
         assert rows["fusion groups executed"] < executed
+
+    def test_overview_counts_program_builds(self, tmp_path, capsys,
+                                            global_telemetry, monkeypatch):
+        # table2's two fusion groups run one workload, so the serial
+        # worker builds its program once and reuses it once.
+        from repro.engine import attempt
+        from repro.experiments.cli import main
+        from repro.telemetry.export import load_telemetry_dir
+        monkeypatch.setattr(attempt, "_last_program", None)
+        directory = tmp_path / "telemetry"
+        assert main(["table2", "--scale", "0.1", "--no-store",
+                     "--telemetry", str(directory)]) == 0
+        capsys.readouterr()
+        rows = dict(overview_table(*load_telemetry_dir(directory)).rows)
+        assert rows["fusion groups executed"] == 2
+        assert rows["program builds"] == 1
+        assert rows["program reuses"] == 1
