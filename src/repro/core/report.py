@@ -39,7 +39,8 @@ def format_report(result: UMIResult, program: Program,
     lines.append(f"  timer samples          {rt.timer_samples:>14,}")
 
     # -- profiling summary ---------------------------------------------------
-    row = result.profiling_row(program)
+    row = result.profiling_row(program.static_loads(),
+                               program.static_stores())
     lines.append("")
     lines.append("profiling")
     lines.append(f"  static memory ops      "

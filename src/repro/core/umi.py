@@ -74,10 +74,9 @@ class UMIResult:
     #: detected execution phases (``UMIConfig.track_phases``).
     phases: Optional[list] = None
 
-    def profiling_row(self, program: Program) -> Dict[str, float]:
-        """One row of Table 3 for this run."""
-        loads = program.static_loads()
-        stores = program.static_stores()
+    def profiling_row(self, loads: int, stores: int) -> Dict[str, float]:
+        """One row of Table 3 for this run of a program with ``loads``
+        static loads and ``stores`` static stores."""
         profiled = self.instrumentation.profiled_operations
         total = loads + stores
         return {

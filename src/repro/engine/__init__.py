@@ -13,7 +13,7 @@ socket-connected standalone agents).  See the "Execution engine" and
 
 from .attempt import (
     attempt_group, cached_program, execute_group_payloads, execute_spec,
-    execute_spec_payload, run_lease,
+    execute_spec_payload, run_lease, static_counts,
 )
 from .engine import ExecutionEngine
 from .executor import (
@@ -45,5 +45,5 @@ __all__ = [
     "attempt_group", "cached_program", "execute_group_payloads",
     "execute_spec", "execute_spec_payload", "fusion_key",
     "is_failed_payload", "make_executor", "make_pool", "plan_groups",
-    "run_lease",
+    "run_lease", "static_counts",
 ]

@@ -20,11 +20,14 @@ writes.  The one thing a worker keeps between attempts is the last
 program it built (:func:`cached_program`): runs never write to a
 :class:`~repro.isa.Program`, and :func:`~repro.engine.fusion.plan_groups`
 orders a wavefront program-major, so one entry serves every group of a
-program in a row.
+program in a row.  Every build also records the program's static
+load/store counts (:func:`static_counts`), which is all the tables
+read from a program, so rendering holds no program of its own.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -43,10 +46,23 @@ from repro.workloads import get_workload
 
 from .spec import RunSpec
 
+try:
+    import resource
+except ImportError:  # pragma: no cover -- a host without getrusage
+    resource = None
+
+#: ``ru_maxrss`` units per KiB: Linux reports KiB, macOS bytes.
+_MAXRSS_PER_KIB = 1024 if sys.platform == "darwin" else 1
+
 
 #: The last program built in this process, as ``((workload, scale),
 #: program)``, or None.
 _last_program: Optional[Tuple[Tuple[str, float], Program]] = None
+
+#: ``(static_loads, static_stores)`` of every program built in this
+#: process, keyed by ``(workload, scale)``: two ints a program, kept
+#: after the program itself is dropped.
+_static_counts: Dict[Tuple[str, float], Tuple[int, int]] = {}
 
 
 def cached_program(workload: str, scale: float) -> Program:
@@ -58,7 +74,8 @@ def cached_program(workload: str, scale: float) -> Program:
     ``workloads.program_builds`` / ``workloads.program_reuses``
     telemetry counters count the two outcomes.  Sharing is safe because
     a run never writes to its program (the machine state copies the
-    data image).
+    data image).  Each build records the program's
+    :func:`static_counts`.
     """
     global _last_program
     key = (workload, scale)
@@ -69,8 +86,24 @@ def cached_program(workload: str, scale: float) -> Program:
     _last_program = None
     program = get_workload(workload).build(scale)
     _last_program = (key, program)
+    _static_counts[key] = (program.static_loads(), program.static_stores())
     get_telemetry().count("workloads.program_builds")
     return program
+
+
+def static_counts(workload: str, scale: float) -> Tuple[int, int]:
+    """``(static_loads, static_stores)`` of ``workload`` at ``scale``.
+
+    Read from the counts :func:`cached_program` recorded when this
+    process built the program; a program this process never built
+    (its runs executed in a pool worker, a socket agent, or an earlier
+    process that filled the store) is built once through
+    :func:`cached_program`, which records them.
+    """
+    key = (workload, scale)
+    if key not in _static_counts:
+        cached_program(workload, scale)
+    return _static_counts[key]
 
 
 def _observers(spec: RunSpec) -> Dict[str, Any]:
@@ -130,7 +163,12 @@ def execute_group_payloads(group: Sequence[RunSpec]) -> List[Dict[str, Any]]:
 
 
 def _execute_group_timed(group: Sequence[RunSpec]) -> List[Dict[str, Any]]:
-    """One fusion group under an ``executor.spec`` span."""
+    """One fusion group under an ``executor.spec`` span.
+
+    The span also records the executing process's peak RSS so far
+    (``maxrss_kib``) and the group's user/sys CPU seconds (``user_s``,
+    ``sys_s``) from ``getrusage``.
+    """
     telemetry = get_telemetry()
     if not telemetry.enabled:
         return execute_group_payloads(group)
@@ -139,8 +177,16 @@ def _execute_group_timed(group: Sequence[RunSpec]) -> List[Dict[str, Any]]:
     with telemetry.span("executor.spec",
                         labels={"workload": spec.workload},
                         digest=spec.digest()[:12], spec=spec.describe(),
-                        **fused):
-        return execute_group_payloads(group)
+                        **fused) as span:
+        if resource is None:
+            return execute_group_payloads(group)
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        payloads = execute_group_payloads(group)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        span.attrs.update(maxrss_kib=after.ru_maxrss // _MAXRSS_PER_KIB,
+                          user_s=after.ru_utime - before.ru_utime,
+                          sys_s=after.ru_stime - before.ru_stime)
+        return payloads
 
 
 def attempt_group(group: Sequence[RunSpec], attempt: int

@@ -17,13 +17,12 @@ multiplied by ``scale``.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import UMIConfig
 from repro.engine import (
-    ExecutionEngine, ResultStore, RetryPolicy, RunSpec, cached_program,
+    ExecutionEngine, ResultStore, RetryPolicy, RunSpec, static_counts,
 )
-from repro.isa import Program
 from repro.memory import DEFAULT_MACHINE_SCALE, MachineConfig, get_machine
 from repro.runners import RunOutcome
 from repro.workloads import all_workloads
@@ -56,12 +55,15 @@ def default_umi_config(
 class ResultCache:
     """Spec-building facade over the execution engine.
 
-    Memoizes program/machine builds in-process (a program it has not
-    seen comes from the executor's one-entry program cache,
-    :func:`~repro.engine.cached_program`) and delegates every run
+    Memoizes machine builds in-process and delegates every run
     to an :class:`~repro.engine.ExecutionEngine` -- pass ``jobs`` (or
     ``workers``) to pick its worker pool and/or ``store`` (a directory path or
     :class:`~repro.engine.ResultStore`) for cross-process persistence.
+
+    The tables read a program only for its static load/store counts
+    (:meth:`static_counts`), which the process recorded when it built
+    the program for its runs, so the cache holds no program and at most
+    one program -- the executor's last -- is alive per process.
     """
 
     def __init__(self, scale: float = DEFAULT_SCALE,
@@ -81,7 +83,6 @@ class ResultCache:
                                      strict=strict, retry=retry,
                                      workers=workers)
         self.engine = engine
-        self._programs: Dict[str, Program] = {}
         self._machines: Dict[str, MachineConfig] = {}
 
     # -- building ----------------------------------------------------------
@@ -91,11 +92,9 @@ class ResultCache:
             self._machines[name] = get_machine(name, scale=self.machine_scale)
         return self._machines[name]
 
-    def program(self, workload_name: str) -> Program:
-        if workload_name not in self._programs:
-            self._programs[workload_name] = cached_program(
-                workload_name, self.scale)
-        return self._programs[workload_name]
+    def static_counts(self, workload_name: str) -> Tuple[int, int]:
+        """``(static_loads, static_stores)`` of a workload's program."""
+        return static_counts(workload_name, self.scale)
 
     # -- specs --------------------------------------------------------------
 

@@ -46,7 +46,7 @@ def run(scale: float = DEFAULT_SCALE, cache: Optional[ResultCache] = None,
     pct_sum = 0.0
     for name in names:
         outcome = cache.umi(name, sampling=False)
-        row = outcome.umi.profiling_row(cache.program(name))
+        row = outcome.umi.profiling_row(*cache.static_counts(name))
         table.add_row(
             name, row["static_loads"], row["static_stores"],
             row["profiled_operations"], row["pct_profiled"],

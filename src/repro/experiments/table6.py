@@ -73,14 +73,13 @@ def measure(scale: float = DEFAULT_SCALE,
         outcome = cache.umi(name, machine="pentium4", sampling=True,
                             with_cachegrind=True,
                             consumers=("shadow-hwpf",))
-        program = cache.program(name)
         cg = outcome.cachegrind
         pc_misses = cg.pc_load_misses()
         actual = delinquent_set(pc_misses, coverage=coverage)
         predicted = outcome.umi.predicted_delinquent
         quality = PredictionQuality(predicted=frozenset(predicted),
                                     actual=actual)
-        total_loads = program.static_loads()
+        total_loads, _ = cache.static_counts(name)
         rows.append(DelinquencyRow(
             name=name,
             l2_miss_ratio=cg.l2_miss_ratio(),

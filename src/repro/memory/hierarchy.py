@@ -15,8 +15,9 @@ per-line ``ready_at`` cycles.
 An L1D miss is served by one routine (:meth:`MemoryHierarchy._miss`)
 that probes the L2 inline on its columns, fills with positional
 arguments and trains the hardware prefetcher once
-(:meth:`~repro.memory.prefetch.HardwarePrefetcher.train`); an L1I miss
-probes the L2 inline the same way.
+(:meth:`~repro.memory.prefetch.HardwarePrefetcher.train`) -- on an L2
+hit only if the prefetcher trains on hits; an L1I miss probes the L2
+inline the same way.
 """
 
 from __future__ import annotations
@@ -107,6 +108,10 @@ class MemoryHierarchy:
         self.l1i = (Cache(config.l1i, make_policy(config.replacement))
                     if config.l1i else None)
         self.hw_prefetcher = hw_prefetcher
+        # Whether ``_miss`` trains the prefetcher on an L2 hit, read
+        # once: a prefetcher's configuration is fixed once attached.
+        self._train_on_hits = (hw_prefetcher is not None
+                               and hw_prefetcher.trains_on_hits)
         #: optional data TLB (see :mod:`repro.memory.tlb`); attach one
         #: to study translation overheads.  None by default.
         self.tlb = None
@@ -215,7 +220,8 @@ class MemoryHierarchy:
 
         Probes the L2 on its columns (as :meth:`Cache.probe` would) and
         fills it on a miss, fills the L1, keeps the per-PC L2 counts,
-        trains the hardware prefetcher and publishes the line event;
+        trains the hardware prefetcher (on a hit only if it trains on
+        hits) and publishes the line event;
         returns the line's whole latency.
         """
         latency = self._l1_latency + self._l2_latency
@@ -256,7 +262,8 @@ class MemoryHierarchy:
                 self.pc_l2_misses[pc] = self.pc_l2_misses.get(pc, 0) + 1
         self.l1.fill(line_addr, now, 0, False, is_write)
         hw_prefetcher = self.hw_prefetcher
-        if hw_prefetcher is not None:
+        if hw_prefetcher is not None and (not l2_hit
+                                          or self._train_on_hits):
             hw_prefetcher.train(pc, line_addr, l2_hit, l2, now,
                                 self._mem_latency)
         stream = self.line_stream

@@ -8,7 +8,9 @@ prefetch fills into the L2.  The AMD K7 model has no hardware prefetcher,
 matching the paper ("The AMD K7 does not have any documented hardware
 prefetching mechanisms").
 
-The hierarchy trains its prefetcher once per L2 demand access through
+The hierarchy trains its prefetcher once per L2 demand miss, and once
+per L2 hit only for a prefetcher that trains on hits
+(:attr:`HardwarePrefetcher.trains_on_hits`), through
 :meth:`HardwarePrefetcher.train`, which fills the L2 directly.  The
 default ``train`` runs :meth:`~HardwarePrefetcher.observe` with an
 issue sink; :class:`Pentium4Prefetcher` overrides it with the whole P4
@@ -41,6 +43,13 @@ class HardwarePrefetcher:
         addresses to prefetch."""
         raise NotImplementedError
 
+    @property
+    def trains_on_hits(self) -> bool:
+        """Whether an L2 demand *hit* can change this prefetcher's state
+        or issue a prefetch.  The hierarchy trains it on hits only if
+        so; a prefetcher that does not know stays True."""
+        return True
+
     def train(self, pc: int, line_addr: int, hit: bool, l2: "Cache",
               now: int, latency: int) -> None:
         """Observe one L2 demand access at cycle ``now`` and fill every
@@ -70,6 +79,7 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
     """
 
     name = "adjacent"
+    trains_on_hits = False
 
     def __init__(self) -> None:
         self.issued = 0
@@ -137,6 +147,10 @@ class StridePrefetcher(HardwarePrefetcher):
         self._streams: Dict[int, _Stream] = {}
         self._clock = 0
 
+    @property
+    def trains_on_hits(self) -> bool:
+        return not self.miss_triggered
+
     def observe(self, pc: int, line_addr: int, hit: bool,
                 issue: PrefetchSink) -> None:
         if self.miss_triggered and hit:
@@ -186,6 +200,10 @@ class CompositePrefetcher(HardwarePrefetcher):
 
     def __init__(self, parts: List[HardwarePrefetcher]) -> None:
         self.parts = list(parts)
+
+    @property
+    def trains_on_hits(self) -> bool:
+        return any(part.trains_on_hits for part in self.parts)
 
     def observe(self, pc: int, line_addr: int, hit: bool,
                 issue: PrefetchSink) -> None:

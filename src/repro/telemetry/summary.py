@@ -4,8 +4,8 @@ Turns a registry snapshot + event log into the tables behind
 ``umi-experiments telemetry DIR`` and ``summary.txt``:
 
 * an overview (specs and fusion groups executed, program builds and
-  reuses, wall time, store hit ratio, analyzer activity, event
-  volume);
+  reuses, wall time, the executing processes' peak RSS, store hit
+  ratio, analyzer activity, event volume);
 * the slowest executed specs (from ``executor.spec`` span events);
 * per-workload analyzer time share (``span.umi.analyzer`` wall seconds
   against ``span.executor.spec`` wall seconds, per workload label) --
@@ -63,6 +63,15 @@ def _timer_total(metrics: List[Dict[str, Any]], name: str,
                if m["kind"] == "timer" and m["name"] == name)
 
 
+def peak_rss_mb(events: List[Dict[str, Any]]) -> Optional[float]:
+    """The largest ``maxrss_kib`` any ``executor.spec`` span recorded,
+    in MiB, or ``None`` when no span recorded one."""
+    peaks = [e["attrs"]["maxrss_kib"] for e in events
+             if e.get("type") == "span" and e.get("name") == "executor.spec"
+             and "maxrss_kib" in e.get("attrs", {})]
+    return max(peaks) / 1024 if peaks else None
+
+
 def overview_table(metrics: List[Dict[str, Any]],
                    events: List[Dict[str, Any]]) -> Table:
     hits = _counter_total(metrics, "store.hits")
@@ -85,6 +94,10 @@ def overview_table(metrics: List[Dict[str, Any]],
     table.add_row("spec wall seconds",
                   "%.3f" % _timer_total(metrics, "span.executor.spec",
                                         "wall_s"))
+    # Spans record KiB and the row shows MiB.  Each process reports
+    # its own peak, so with pool workers the row is the largest one.
+    peak = peak_rss_mb(events)
+    table.add_row("peak RSS (MB)", "-" if peak is None else "%.1f" % peak)
     table.add_row("engine wavefronts",
                   int(_timer_total(metrics, "span.engine.wavefront",
                                    "count")))

@@ -151,7 +151,8 @@ class TestProfilingRow:
     def test_table3_row_fields(self):
         program, _ = build_stream_program(n=256, reps=6)
         _, result = run_umi(program, use_sampling=False)
-        row = result.profiling_row(program)
+        row = result.profiling_row(program.static_loads(),
+                                   program.static_stores())
         assert row["static_loads"] == 1
         assert row["profiled_operations"] >= 1
         assert 0.0 < row["pct_profiled"] <= 100.0

@@ -5,6 +5,9 @@ module is driven end-to-end on a handful of benchmarks at a small scale
 to verify plumbing, table shape, and the grossest expected properties.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.experiments import ResultCache
@@ -13,6 +16,7 @@ from repro.experiments import (  # noqa: F401  (import checks)
 )
 from repro.experiments import common, fig2, prefetch_figs, sensitivity
 from repro.experiments import table1, table2, table3, table4, table5, table6
+from repro.isa import Program
 from repro.stats import Table
 
 SCALE = 0.25
@@ -25,8 +29,59 @@ def cache():
 
 
 class TestResultCache:
-    def test_programs_are_cached(self, cache):
-        assert cache.program("181.mcf") is cache.program("181.mcf")
+    def test_tables_read_static_counts_not_programs(self, monkeypatch):
+        # A cold serial sweep of Table 3 plus Table 6: rendering reads
+        # the static counts recorded when the sweep built each program,
+        # so it builds nothing, and only the executor's last program is
+        # still alive afterwards.
+        from repro.engine import attempt
+        from repro.telemetry import TELEMETRY
+
+        real = attempt.get_workload
+        built = []
+
+        class Recording:
+            def __init__(self, name):
+                self.workload = real(name)
+
+            def build(self, scale):
+                program = self.workload.build(scale)
+                built.append(weakref.ref(program))
+                return program
+
+        monkeypatch.setattr(attempt, "get_workload", Recording)
+        monkeypatch.setattr(attempt, "_last_program", None)
+        monkeypatch.setattr(attempt, "_static_counts", {})
+        names = ["gen:thrash:pentium4:s0", "gen:thrash:pentium4:s1"]
+        fresh = ResultCache(scale=0.05)
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            fresh.prefill(table3.required_runs(fresh, names)
+                          + table6.required_runs(fresh, names))
+            builds = TELEMETRY.registry.counter(
+                "workloads.program_builds").value
+            swept = len(built)
+            tables = [table3.run(scale=0.05, cache=fresh, workloads=names),
+                      table6.run(scale=0.05, cache=fresh, workloads=names)]
+            rendered = TELEMETRY.registry.counter(
+                "workloads.program_builds").value
+        finally:
+            TELEMETRY.reset()
+            TELEMETRY.disable()
+        assert builds == swept == len(names)
+        assert rendered == builds and len(built) == swept
+        assert all(table.rows for table in tables)
+        gc.collect()
+        assert sum(ref() is not None for ref in built) <= 1
+        assert sum(isinstance(obj, Program) and obj.name in names
+                   for obj in gc.get_objects()) <= 1
+
+    def test_static_counts_match_the_program(self):
+        from repro.workloads import get_workload
+        program = get_workload("181.mcf").build(SCALE)
+        assert ResultCache(scale=SCALE).static_counts("181.mcf") == (
+            program.static_loads(), program.static_stores())
 
     def test_runs_are_memoized(self, cache):
         a = cache.native("252.eon")

@@ -228,6 +228,33 @@ class TestHardwarePrefetchers:
             "adjacent"
         assert pentium4_prefetcher(adjacent=False, stride=False) is None
 
+    def test_trains_on_hits_follows_the_parts(self):
+        assert not AdjacentLinePrefetcher().trains_on_hits
+        assert not StridePrefetcher().trains_on_hits
+        assert StridePrefetcher(miss_triggered=False).trains_on_hits
+        p4 = pentium4_prefetcher()
+        assert not p4.trains_on_hits
+        p4.stride.miss_triggered = False
+        assert p4.trains_on_hits
+
+    @pytest.mark.parametrize("miss_triggered", [True, False])
+    def test_hierarchy_trains_on_l2_hits_only_if_the_prefetcher_does(
+            self, miss_triggered):
+        hits = []
+
+        class Spy(StridePrefetcher):
+            def train(self, pc, line_addr, hit, l2, now, latency):
+                hits.append(hit)
+                super().train(pc, line_addr, hit, l2, now, latency)
+
+        hier = tiny(prefetcher=Spy(miss_triggered=miss_triggered))
+        # Lines 0, 2 and 4 share an L1 set (2 ways) but not an L2 set,
+        # so the last access misses the L1 and hits the L2.
+        for addr in (0, 128, 256, 0):
+            hier.access(pc=1, addr=addr, is_write=False)
+        assert hier.l2.stats.read_misses == 3
+        assert hits == [False] * 3 + ([] if miss_triggered else [True])
+
     def test_reset(self):
         pf = StridePrefetcher(miss_triggered=False)
         for line in range(10):

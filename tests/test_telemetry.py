@@ -29,7 +29,7 @@ from repro.telemetry import (
     prometheus_text, read_events_jsonl, render_summary,
     write_events_jsonl, write_telemetry_dir,
 )
-from repro.telemetry.summary import overview_table
+from repro.telemetry.summary import overview_table, peak_rss_mb
 
 SCALE = 0.1
 MACHINE_SCALE = 16
@@ -444,3 +444,44 @@ class TestCLITelemetry:
         assert rows["fusion groups executed"] == 2
         assert rows["program builds"] == 1
         assert rows["program reuses"] == 1
+
+    def test_overview_shows_peak_rss_of_the_spec_spans(
+            self, tmp_path, capsys, global_telemetry):
+        # Every executor.spec span records getrusage's peak RSS (KiB)
+        # and its CPU split; the overview shows the largest, in MiB.
+        from repro.experiments.cli import main
+        from repro.telemetry.export import load_telemetry_dir
+        directory = tmp_path / "telemetry"
+        assert main(["table2", "--scale", "0.1", "--no-store",
+                     "--telemetry", str(directory)]) == 0
+        capsys.readouterr()
+        metrics, events = load_telemetry_dir(directory)
+        spans = [e["attrs"] for e in events
+                 if e.get("name") == "executor.spec"]
+        assert len(spans) == 2
+        for attrs in spans:
+            assert attrs["maxrss_kib"] > 0
+            assert attrs["user_s"] >= 0.0 and attrs["sys_s"] >= 0.0
+        rows = dict(overview_table(metrics, events).rows)
+        assert rows["peak RSS (MB)"] == "%.1f" % (
+            max(attrs["maxrss_kib"] for attrs in spans) / 1024)
+        assert main(["telemetry", str(directory)]) == 0
+        assert "peak RSS (MB)" in capsys.readouterr().out
+
+    def test_peak_rss_is_the_maximum_over_merged_worker_spans(self):
+        # Pool workers ship their spans in snapshots; the coordinator's
+        # merged log keeps each, and the row takes the largest.
+        coordinator = Telemetry(enabled=True)
+        for peak in (30_000, 51_200, 40_000):
+            worker = Telemetry(enabled=True)
+            with worker.span("executor.spec",
+                             labels={"workload": WORKLOAD}) as span:
+                span.attrs.update(maxrss_kib=peak, user_s=0.1, sys_s=0.0)
+            coordinator.merge(worker.snapshot(), source=f"w{peak}")
+        rows = dict(overview_table(coordinator.registry.snapshot(),
+                                   coordinator.events).rows)
+        assert rows["peak RSS (MB)"] == "50.0"
+        assert rows["fusion groups executed"] == 3
+        assert peak_rss_mb(coordinator.events) == 50.0
+        assert peak_rss_mb([]) is None
+        assert dict(overview_table([], []).rows)["peak RSS (MB)"] == "-"
