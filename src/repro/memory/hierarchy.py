@@ -12,12 +12,19 @@ Software prefetch instructions (injected by the UMI online optimizer) and
 hardware prefetchers both fill the L2 with *timeliness* modelled through
 per-line ``ready_at`` cycles.
 
-An L1D miss is served by one routine (:meth:`MemoryHierarchy._miss`)
-that probes the L2 inline on its columns, fills with positional
-arguments and trains the hardware prefetcher once
+An L1D miss is served and counted by one routine
+(:meth:`MemoryHierarchy._miss`) that probes the L2 inline on its
+columns, fills with positional arguments and trains the hardware
+prefetcher once
 (:meth:`~repro.memory.prefetch.HardwarePrefetcher.train`) -- on an L2
 hit only if the prefetcher trains on hits; an L1I miss probes the L2
 inline the same way.
+
+Most L1 hits never call in here: compiled blocks retire them inline on
+the columns :meth:`MemoryHierarchy.hit_lanes` hands out, and send a
+one-line L1D miss straight to ``_miss``.  :meth:`~MemoryHierarchy.
+access` and :meth:`~MemoryHierarchy.fetch` stay the generic path and
+the contract.
 """
 
 from __future__ import annotations
@@ -87,6 +94,15 @@ class MachineConfig:
 CODE_LINE_SIZE = 64
 
 
+def _hit_columns(cache: Cache) -> tuple:
+    """``(stamps, mru)`` a hit lane writes for ``cache``: the real
+    columns where the policy reads them, else one scratch column (PLRU
+    reads both)."""
+    scratch = None if cache._plru else [0] * len(cache._stamps)
+    return (cache._stamps if cache._touch else scratch,
+            cache._mru if cache._plru else scratch)
+
+
 class MemoryHierarchy:
     """L1D + L2 + memory, with optional hardware prefetchers at the L2."""
 
@@ -153,8 +169,9 @@ class MemoryHierarchy:
         the L1's ``line -> slot`` map and retires a hit right here on the
         L1's columns, exactly as :meth:`Cache.probe` would.  The columns
         are read through the cache on every call because ``flush``
-        rebinds them.  Straddles and TLB machines go through ``probe``;
-        every L1 miss goes to :meth:`_miss`.
+        rebinds some of them.  Straddles and TLB machines probe each
+        line through ``probe``, after a residency check; every L1 miss
+        goes to :meth:`_miss`, which counts it.
         """
         line_bits = self._line_bits
         line_addr = addr >> line_bits
@@ -162,18 +179,15 @@ class MemoryHierarchy:
         l1 = self.l1
         if last_line == line_addr and self.tlb is None:
             slot = l1._where.get(line_addr)
+            if slot is None:
+                return self._miss(pc, line_addr, is_write, now)
             stats = l1.stats
             if is_write:
                 stats.writes += 1
                 l1._plain = False
+                l1._dirty[slot] = True
             else:
                 stats.reads += 1
-            if slot is None:
-                if is_write:
-                    stats.write_misses += 1
-                else:
-                    stats.read_misses += 1
-                return self._miss(pc, line_addr, is_write, now)
             latency = self._l1_latency
             if not l1._plain_timing:
                 ready = l1._ready[slot]
@@ -183,8 +197,6 @@ class MemoryHierarchy:
                 if l1._pref[slot]:
                     l1._pref[slot] = False
                     stats.useful_prefetches += 1
-            if is_write:
-                l1._dirty[slot] = True
             if l1._touch:
                 l1._stamps[slot] = now
                 if l1._plru:
@@ -204,9 +216,9 @@ class MemoryHierarchy:
         if self.tlb is not None:
             latency += self.tlb.translate(addr)
         for line_addr in range(line_addr, last_line + 1):
-            hit, stall = l1.probe(line_addr, is_write, now)
-            if hit:
-                latency += self._l1_latency + stall
+            if line_addr in l1._where:
+                latency += (self._l1_latency
+                            + l1.probe(line_addr, is_write, now)[1])
                 stream = self.line_stream
                 if stream.consumers:
                     stream.emit(pc, line_addr, is_write, True, True)
@@ -216,21 +228,30 @@ class MemoryHierarchy:
 
     def _miss(self, pc: int, line_addr: int, is_write: bool,
               now: int) -> int:
-        """Service one L1 demand miss the caller has already counted.
+        """Service one L1 demand miss: the one place an L1D miss is
+        counted.
 
-        Probes the L2 on its columns (as :meth:`Cache.probe` would) and
-        fills it on a miss, fills the L1, keeps the per-PC L2 counts,
-        trains the hardware prefetcher (on a hit only if it trains on
-        hits) and publishes the line event;
-        returns the line's whole latency.
+        Counts the L1 reference and miss, probes the L2 on its columns
+        (as :meth:`Cache.probe` would) and fills it on a miss, fills the
+        L1, keeps the per-PC L2 counts, trains the hardware prefetcher
+        (on a hit only if it trains on hits) and publishes the line
+        event; returns the line's whole latency.  Called by
+        :meth:`access` and straight from the compiled blocks' inline
+        L1D lane (:meth:`hit_lanes`), which have both found the line
+        absent from the L1.
         """
         latency = self._l1_latency + self._l2_latency
+        l1_stats = self.l1.stats
         l2 = self.l2
         stats = l2.stats
         if is_write:
+            l1_stats.writes += 1
+            l1_stats.write_misses += 1
             stats.writes += 1
             l2._plain = False
         else:
+            l1_stats.reads += 1
+            l1_stats.read_misses += 1
             stats.reads += 1
         slot = l2._where.get(line_addr)
         track = self.track_per_pc and not is_write
@@ -333,6 +354,50 @@ class MemoryHierarchy:
                         l2._mru[slot] = True
             l1i.fill(line_addr, now)
         return latency
+
+    # -- inline hit lanes ---------------------------------------------------------
+
+    def hit_lanes(self) -> tuple:
+        """The columns compiled blocks retire L1 hits on, ``(data, code)``.
+
+        :mod:`repro.vm.compiler` gives every memory-access site and
+        every block's instruction fetch an inline lane that retires an
+        L1 hit itself, with exactly the effects of :meth:`access` or
+        :meth:`fetch`.  ``data`` is ``None`` (lane closed) unless the
+        L1D can take it: no TLB, plain timing (no prefetch fill and no
+        future ready time, so a hit has no stall and no useful-prefetch
+        count) and the 64-byte lines the lane's straddle check assumes.
+        Otherwise it is ``(consumers, probe, stats, stamps, mru, dirty,
+        latency, miss)``: the line stream's consumer list (the lane
+        falls through to :meth:`access` while it is non-empty, so a
+        consumer attached at any time sees every line event), the L1's
+        ``line -> slot`` lookup, its stats, its stamp, MRU and dirty
+        columns, its hit latency and :meth:`_miss`.  ``code`` is
+        ``None`` unless the L1I exists with plain timing, else
+        ``(probe, stats, stamps, mru)``.
+
+        A policy that does not stamp hits (FIFO, random) or keep MRU
+        bits (all but PLRU) gets a scratch column nothing reads in
+        their place, so every policy runs one lane.  Only ``_miss``
+        and ``fetch`` fill these L1s, always with plain timing, so the
+        answer holds for the whole run.  The L1D lane does not clear
+        ``_plain`` on a store hit, so it is cleared here: the flag only
+        steers :meth:`Cache.access_many`, which gives the same result
+        either way.
+        """
+        data = code = None
+        l1 = self.l1
+        if (self.tlb is None and l1._plain_timing
+                and self._line_size == CODE_LINE_SIZE):
+            l1._plain = False
+            stamps, mru = _hit_columns(l1)
+            data = (self.line_stream.consumers, l1._where.get, l1.stats,
+                    stamps, mru, l1._dirty, self._l1_latency, self._miss)
+        l1i = self.l1i
+        if l1i is not None and l1i._plain_timing:
+            stamps, mru = _hit_columns(l1i)
+            code = (l1i._where.get, l1i.stats, stamps, mru)
+        return data, code
 
     # -- prefetch path --------------------------------------------------------
 

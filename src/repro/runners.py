@@ -50,6 +50,7 @@ from repro.memory import (
 from repro.stream import (
     BuildContext, LineConsumer, RefConsumer, RefStream, create_consumer,
 )
+from repro.telemetry import get_telemetry
 from repro.vm import (
     CostModel, DEFAULT_COST_MODEL, DEFAULT_MAX_STEPS, DynamoSim,
     Interpreter, RuntimeConfig, RuntimeStats,
@@ -315,6 +316,14 @@ def _counter_set(state, hierarchy: MemoryHierarchy, cost_model: CostModel,
     return hw
 
 
+def _refs_served(hierarchy: MemoryHierarchy) -> int:
+    """Line references the L1D and L1I served in one run, read from
+    their stats: the same count whether a compiled block's inline lane
+    or a hierarchy call served them."""
+    l1i = hierarchy.l1i
+    return hierarchy.l1.stats.refs + (l1i.stats.refs if l1i else 0)
+
+
 def run_fused(
     program: Program,
     machine: MachineConfig,
@@ -376,6 +385,7 @@ def run_fused(
 
     base = run()
     _finish_streams(stream, hierarchy)
+    get_telemetry().count("memory.refs_served", _refs_served(hierarchy))
 
     all_derived = plan.derived()
     outcomes: List[RunOutcome] = []

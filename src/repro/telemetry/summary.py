@@ -4,8 +4,9 @@ Turns a registry snapshot + event log into the tables behind
 ``umi-experiments telemetry DIR`` and ``summary.txt``:
 
 * an overview (specs and fusion groups executed, program builds and
-  reuses, wall time, the executing processes' peak RSS, store hit
-  ratio, analyzer activity, event volume);
+  reuses, references the L1D and L1I served, wall time, the executing
+  processes' peak RSS, store hit ratio, analyzer activity, event
+  volume);
 * the slowest executed specs (from ``executor.spec`` span events);
 * per-workload analyzer time share (``span.umi.analyzer`` wall seconds
   against ``span.executor.spec`` wall seconds, per workload label) --
@@ -91,6 +92,10 @@ def overview_table(metrics: List[Dict[str, Any]],
                   _counter_total(metrics, "workloads.program_builds"))
     table.add_row("program reuses",
                   _counter_total(metrics, "workloads.program_reuses"))
+    # Read from the L1D and L1I stats after each execution, so it
+    # counts references served inline by compiled blocks too.
+    table.add_row("references served",
+                  _counter_total(metrics, "memory.refs_served"))
     table.add_row("spec wall seconds",
                   "%.3f" % _timer_total(metrics, "span.executor.spec",
                                         "wall_s"))

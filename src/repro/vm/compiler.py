@@ -29,6 +29,30 @@ software-prefetch helpers), and for the reference stream ``E`` plus
 the column appends ``EP``/``EA``/``ES``/``EK``/``EC``, ``EL`` (the pc
 column), ``LIM``, ``DR`` (drain) and ``FE`` (instruction-fetch events).
 ``EP`` is ``None`` when the interpreter has no stream.
+
+Every memory-access site (LOAD, STORE, CALL's push, RET's pop) and
+every block fetching one or two code lines has an inline **L1 hit
+lane**, which retires an L1 hit on the cache's columns with exactly the
+effects of ``access``/``fetch``
+(:meth:`repro.memory.MemoryHierarchy.hit_lanes`).  Its globals, bound
+by :meth:`~repro.vm.interpreter.Interpreter.bind_lanes` when a run
+starts:
+
+* data lane: ``DC`` (truthy while the lane is closed: the line
+  stream's consumer list, or ``True``), ``DW`` (the L1D's
+  ``line -> slot`` lookup), ``DS`` (its stats), ``DT``/``DM``/``DD``
+  (its stamp, MRU and dirty columns), ``DL`` (its hit latency) and
+  ``DX`` (the hierarchy's one miss routine, ``_miss``).  A site whose
+  access fits in one 64-byte line (``(a & 63) <= 64 - size``) probes
+  ``DW`` once: a hit retires inline, a miss calls ``DX``.  A straddle,
+  or a closed lane, calls ``A``.
+* instruction lane: ``IW``/``IS``/``IT``/``IM`` (the L1I's lookup,
+  stats, stamp and MRU columns).  A fetch whose lines all hit retires
+  inline and adds no latency; any miss calls ``F``, which re-does the
+  whole fetch.  A closed lane's ``IW`` finds nothing.
+
+The lanes cost one code shape for every interpreter: a closed lane is
+a binding, not a compile variant.
 """
 
 from __future__ import annotations
@@ -128,9 +152,11 @@ _CC_OPERATORS = {CC_EQ: "==", CC_NE: "!=", CC_LT: "<", CC_LE: "<=",
 _CODE_CACHE: Dict[tuple, CodeType] = {}
 
 #: Entries kept before the oldest is dropped.  An entry with its key
-#: takes about 4 KB; the paper wavefront compiles ~1,400 distinct
-#: blocks, and a sweep over the whole catalog would otherwise keep tens
-#: of MB alive in a long-lived worker.
+#: takes about 5 KB (5.1 KB over the 1,088 blocks of the paper programs
+#: at scale 0.1, with the L1 hit lanes, measured with tracemalloc);
+#: the paper wavefront compiles ~1,400 distinct blocks, and a sweep
+#: over the whole catalog would otherwise keep tens of MB alive in a
+#: long-lived worker.
 CODE_CACHE_LIMIT = 4096
 
 # Serializes insertion and eviction; lookups need no lock.
@@ -188,7 +214,8 @@ def _block_source(ops: tuple, lines) -> str:
 
     Names are the per-interpreter globals (see the module docstring);
     ``c`` is the running cycle count,
-    ``f`` the flags, ``a`` the current effective address.
+    ``f`` the flags, ``a`` the current effective address, ``s`` and
+    ``t`` the L1 slots a hit lane probed.
     """
     out = ["def block():"]
 
@@ -200,6 +227,23 @@ def _block_source(ops: tuple, lines) -> str:
         for line in (f"EP({_lit(pc)})", "EA(a)", f"ES({_lit(size)})",
                      f"EK({kind})", "EC(c)", "if len(EL) >= LIM: DR()"):
             w(line, 2)
+
+    def access(pc, size, write: bool) -> None:
+        """The L1D lane at one access site: a one-line L1 hit retires
+        inline, a one-line miss goes straight to ``DX``, and a straddle
+        (or a closed lane) calls ``A``."""
+        kind = "writes" if write else "reads"
+        w(f"if DC or (a & 63) > {64 - size}:")
+        w(f"c += A({_lit(pc)}, a, {write}, {_lit(size)}, c)", 2)
+        w("else:")
+        w("s = DW(a >> 6)", 2)
+        w("if s is None:", 2)
+        w(f"c += DX({_lit(pc)}, a >> 6, {write}, c)", 3)
+        w("else:", 2)
+        for line in (f"DS.{kind} += 1",
+                     *(("DD[s] = True",) if write else ()),
+                     "DT[s] = c", "DM[s] = True", "c += DL"):
+            w(line, 3)
 
     pending = 0
     flags_local = False
@@ -235,7 +279,21 @@ def _block_source(ops: tuple, lines) -> str:
         w("Q = X.prefetch_map")
     if lines is not None:
         w(f"if EP is not None and E.wants_ifetch: FE({_lit(lines)}, c)")
-        w(f"c += F({_lit(lines)}, c)")
+        if len(lines) > 2:
+            w(f"c += F({_lit(lines)}, c)")
+        else:
+            # The L1I lane: hits add no latency; any miss re-does the
+            # whole fetch through F.
+            slots = ("s", "t")[:len(lines)]
+            for slot, line in zip(slots, lines):
+                w(f"{slot} = IW({_lit(line)})")
+            w(f"if {' or '.join(f'{x} is None' for x in slots)}:")
+            w(f"c += F({_lit(lines)}, c)", 2)
+            w("else:")
+            w(f"IS.reads += {len(lines)}", 2)
+            for slot in slots:
+                w(f"IT[{slot}] = c", 2)
+                w(f"IM[{slot}] = True", 2)
 
     for steps, t in enumerate(body_ops, 1):
         op = t[0]
@@ -245,7 +303,7 @@ def _block_source(ops: tuple, lines) -> str:
             w(f"a = {_address(base, index, scale, disp)}")
             flush()
             emit(pc, size, 0)
-            w(f"c += A({_lit(pc)}, a, False, {_lit(size)}, c)")
+            access(pc, size, False)
             w(f"{_reg(dst)} = MG(a, 0)")
             w(f"if P is not None: c += PR(P, {_lit(pc)}, a)")
             w(f"if Q is not None: c += PF(Q, {_lit(pc)}, a, c)")
@@ -254,7 +312,7 @@ def _block_source(ops: tuple, lines) -> str:
             w(f"a = {_address(base, index, scale, disp)}")
             flush()
             emit(pc, size, 1)
-            w(f"c += A({_lit(pc)}, a, True, {_lit(size)}, c)")
+            access(pc, size, True)
             w(f"M[a] = {_reg(src) if src is not None else _lit(imm)}")
             w(f"if P is not None: c += PR(P, {_lit(pc)}, a)")
         elif op == ALU_RI:
@@ -298,7 +356,7 @@ def _block_source(ops: tuple, lines) -> str:
             w(f"R[{ESP}] = a")
             flush()
             emit(pc, 8, 1)
-            w(f"c += A({_lit(pc)}, a, True, 8, c)")
+            access(pc, 8, True)
             w("M[a] = 0")
             w(f"CS.append({_lit(fallthrough)})")
             epilogue(op, steps)
@@ -308,7 +366,7 @@ def _block_source(ops: tuple, lines) -> str:
             w(f"a = R[{ESP}]")
             flush()
             emit(t[2], 8, 0)
-            w(f"c += A({_lit(t[2])}, a, False, 8, c)")
+            access(t[2], 8, False)
             w(f"R[{ESP}] += 8")
             epilogue(op, steps)
             w("if CS:")

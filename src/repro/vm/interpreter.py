@@ -14,8 +14,11 @@ shared process-wide).  Each interpreter binds that code to its own
 globals -- registers, memory, the memory system's ``access``/``fetch``,
 the stream's column appends and an :class:`InstrumentationContext` --
 built at construction, so hooks installed on the memory system's class
-beforehand see every call.  Nothing in those globals refers back to
-the interpreter, so a finished run is freed by reference counting.
+beforehand see every call.  The blocks retire L1 hits inline on the
+hierarchy's columns when it allows (the *hit lanes*, bound when a run
+starts by :meth:`Interpreter.bind_lanes`), so those hits call neither
+``access`` nor ``fetch``.  Nothing in the globals refers back to the
+interpreter, so a finished run is freed by reference counting.
 
 The *instrumentation context* carries what a UMI-instrumented trace
 changes between blocks: ``profile_cols`` maps instrumented pcs to
@@ -48,6 +51,10 @@ DEFAULT_MAX_STEPS = 500_000_000
 #: Indirect terminators end DynamoRIO-style traces and pay the indirect
 #: branch lookup cost in the runtime.
 INDIRECT_TERMINATORS = frozenset({SWITCH, RET})
+
+
+#: The closed instruction lane's probe: it finds no line.
+_NO_LINES: Dict[int, int] = {}
 
 
 class ExecutionLimitExceeded(Exception):
@@ -106,8 +113,11 @@ class Interpreter:
     def _environment(self) -> dict:
         """The globals compiled blocks run against.
 
-        Everything is bound here, at construction, so class-level hooks
-        installed before the interpreter exists see every call.  Nothing
+        Everything except the inline L1 hit lanes is bound here, at
+        construction, so class-level hooks installed before the
+        interpreter exists see every ``access``/``fetch`` call.  The
+        lanes start closed and are bound when a run starts
+        (:meth:`bind_lanes`), after every observer is wired.  Nothing
         in it refers back to the interpreter.
         """
         state = self.state
@@ -144,6 +154,7 @@ class Interpreter:
             "A": memsys.access,
             "F": memsys.fetch if self._models_ifetch else None,
             "E": stream, "EP": None,
+            "DC": True, "IW": _NO_LINES.get,
         }
         if stream is not None:
             # The stream's column buffers are stable list objects, so
@@ -172,6 +183,30 @@ class Interpreter:
                        EK=emit_kind, EC=emit_cycle, EL=pcs, LIM=limit,
                        DR=drain, FE=fetch_events)
         return env
+
+    def bind_lanes(self) -> None:
+        """Open the inline L1 hit lanes the memory system allows.
+
+        Called when a run starts (:meth:`run_native`,
+        :meth:`repro.vm.DynamoSim.run`), after every observer is wired,
+        so a TLB attached after construction is seen.  Until then, and
+        for a memory system without lanes, both lanes are closed: the
+        data lane always calls ``A`` and the instruction lane's probe
+        finds nothing, so every fetch calls ``F``.  Calling it again
+        re-decides.  The bound block functions share the environment
+        dict, so this reaches blocks already bound.
+        """
+        env = self._env
+        env.update(DC=True, IW=_NO_LINES.get)
+        hit_lanes = getattr(self.memsys, "hit_lanes", None)
+        if hit_lanes is None:
+            return
+        data, code = hit_lanes()
+        if data is not None:
+            env.update(zip(("DC", "DW", "DS", "DT", "DM", "DD", "DL", "DX"),
+                           data))
+        if code is not None:
+            env.update(zip(("IW", "IS", "IT", "IM"), code))
 
     def block_function(self, label: str) -> Callable[[], Optional[str]]:
         """The compiled function of block ``label``.
@@ -203,6 +238,7 @@ class Interpreter:
 
     def run_native(self, max_steps: int = DEFAULT_MAX_STEPS) -> MachineState:
         """Run the whole program natively (no runtime system overhead)."""
+        self.bind_lanes()
         label: Optional[str] = self.program.entry
         state = self.state
         functions = self._functions

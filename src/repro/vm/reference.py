@@ -12,8 +12,8 @@ retained verbatim as the **behavioural contract** for the compiled
   interpreter against this loop.
 
 It exposes the same execution interface as the production interpreter
-(``context``, :meth:`block_function`, :meth:`execute_block`,
-:meth:`run_native`), so :class:`repro.vm.DynamoSim` can drive it in
+(``context``, :meth:`bind_lanes`, :meth:`block_function`,
+:meth:`execute_block`, :meth:`run_native`), so :class:`repro.vm.DynamoSim` can drive it in
 tests.  Like :mod:`repro.memory.cache_reference`, this module must stay
 slow and obvious -- do not optimize it.
 """
@@ -421,6 +421,10 @@ class ReferenceInterpreter:
     def context(self) -> "ReferenceInterpreter":
         """The instrumentation context: this interpreter's own fields."""
         return self
+
+    def bind_lanes(self) -> None:
+        """No inline hit lanes: every reference goes through
+        ``access``/``fetch``."""
 
     def block_function(self, label: str):
         """A zero-argument callable executing block ``label``."""

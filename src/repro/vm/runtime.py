@@ -171,6 +171,7 @@ class DynamoSim:
 
     def _run(self) -> RuntimeStats:
         interp = self.interp
+        interp.bind_lanes()
         state = self._state
         context = self._context
         config = self.config

@@ -445,6 +445,33 @@ class TestCLITelemetry:
         assert rows["program builds"] == 1
         assert rows["program reuses"] == 1
 
+    def test_overview_counts_references_served(self, tmp_path, capsys,
+                                               global_telemetry,
+                                               monkeypatch):
+        # Each execution adds its L1D and L1I references, read from the
+        # hierarchy's stats: hits the compiled blocks served inline
+        # count as well as hierarchy calls.
+        import repro.runners as runners
+        from repro.experiments.cli import main
+        from repro.telemetry.export import load_telemetry_dir
+        hierarchies = []
+        make_hierarchy = runners._make_hierarchy
+
+        def recording(*args):
+            hierarchies.append(make_hierarchy(*args))
+            return hierarchies[-1]
+
+        monkeypatch.setattr(runners, "_make_hierarchy", recording)
+        directory = tmp_path / "telemetry"
+        assert main(["table2", "--scale", "0.1", "--no-store",
+                     "--telemetry", str(directory)]) == 0
+        capsys.readouterr()
+        rows = dict(overview_table(*load_telemetry_dir(directory)).rows)
+        assert len(hierarchies) == rows["fusion groups executed"] == 2
+        served = sum(h.l1.stats.refs + h.l1i.stats.refs
+                     for h in hierarchies)
+        assert rows["references served"] == served > 0
+
     def test_overview_shows_peak_rss_of_the_spec_spans(
             self, tmp_path, capsys, global_telemetry):
         # Every executor.spec span records getrusage's peak RSS (KiB)

@@ -10,18 +10,27 @@ boundaries and trace-id runs included -- on:
 
 * hypothesis-generated control-flow graphs over every opcode, all ten
   ALU operations (register and immediate forms) and all six condition
-  codes, with a dead block holding an unknown opcode;
-* flat memory and a cache hierarchy with an instruction cache;
+  codes, with a dead block holding an unknown opcode, and accesses of
+  1 to 16 bytes that may straddle a line;
+* flat memory and cache hierarchies with an instruction cache under
+  LRU, bit-PLRU (every preset machine's policy) and FIFO, and a PLRU
+  hierarchy with a line-stream consumer -- the compiled blocks' inline
+  L1 hit lanes run on every hierarchy, and must leave the same cache
+  columns, stats and line events as ``access``/``fetch`` calls;
 * no stream, a stream, and a stream with an ifetch-wanting consumer;
 * with and without an instrumentation context (profile columns and a
   software-prefetch map);
 * native execution and :class:`~repro.vm.DynamoSim` trace execution;
 
 and real workloads under every run mode, where the ``RuntimeStats``
-and serialized payloads must match as well.
+and serialized payloads must match as well.  The lanes are also held
+to the reference when the L1s are flushed and the stats reset
+mid-run, and when a line consumer is attached after the interpreter
+is built or mid-run.
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -39,10 +48,10 @@ from repro.memory import CacheConfig, MachineConfig, MemoryHierarchy
 from repro.memory.configs import get_machine
 from repro.memory.flat import FlatMemory
 from repro.serialize import outcome_to_dict
-from repro.stream import CollectingRefConsumer, RefStream
+from repro.stream import CollectingRefConsumer, LineConsumer, RefStream
 from repro.vm import (
     CostModel, DEFAULT_COST_MODEL, DynamoSim, ExecutionLimitExceeded,
-    Interpreter, RuntimeConfig,
+    Interpreter, RuntimeConfig, RuntimeHooks,
 )
 from repro.vm.reference import ReferenceInterpreter
 from repro.workloads import get_workload
@@ -66,6 +75,10 @@ MACHINE = MachineConfig(
     memory_latency=50,
     l1i=CacheConfig(size=128, assoc=2, line_size=64, hit_latency=1),
 )
+
+#: Memory systems: flat memory, ``MACHINE`` (LRU), then ``MACHINE``
+#: under PLRU and FIFO; ``plru-lines`` also has a line-stream consumer.
+MEMORIES = ["flat", "hierarchy", "plru", "fifo", "plru-lines"]
 
 # -- program generation -------------------------------------------------------
 
@@ -186,7 +199,43 @@ class BatchRecorder(CollectingRefConsumer):
         self.batches.append((len(batch), list(batch.iter_runs())))
 
 
-def observe(interp, memsys, recorder, outcome):
+class LineRecorder(LineConsumer):
+    """Collects every line-event column."""
+
+    def __init__(self) -> None:
+        self.columns = ([], [], [], [], [])
+
+    def on_line_batch(self, batch) -> None:
+        for column, values in zip(self.columns, (
+                batch.pcs, batch.line_addrs, batch.writes, batch.l1_hits,
+                batch.l2_hits)):
+            column.extend(values)
+
+
+def make_memory(memory):
+    """``(memory system, line recorder or None)`` for a ``MEMORIES``
+    name."""
+    if memory == "flat":
+        return FlatMemory(latency=3), None
+    machine = MACHINE
+    if memory != "hierarchy":
+        machine = replace(MACHINE, replacement=memory.split("-")[0])
+    memsys = MemoryHierarchy(machine)
+    lines = None
+    if memory.endswith("-lines"):
+        lines = memsys.line_stream.attach(LineRecorder())
+    return memsys, lines
+
+
+def cache_state(cache):
+    """A cache's stats and every column the hierarchy or a lane writes
+    (``_plain`` only steers ``access_many`` and is left out)."""
+    return (vars(cache.stats), dict(cache._where), list(cache._tags),
+            list(cache._stamps), list(cache._order), list(cache._mru),
+            list(cache._dirty), list(cache._set_len))
+
+
+def observe(interp, memsys, recorder, outcome, lines=None):
     """Everything a run leaves behind that the two interpreters share."""
     state = interp.state
     context = interp.context
@@ -205,6 +254,11 @@ def observe(interp, memsys, recorder, outcome):
     }
     if isinstance(memsys, MemoryHierarchy):
         seen["counters"] = memsys.counters_snapshot()
+        seen["caches"] = [cache_state(cache) for cache in
+                          (memsys.l1, memsys.l2, memsys.l1i)]
+        memsys.line_stream.finish()
+        if lines is not None:
+            seen["lines"] = lines.columns
     else:
         seen["memsys"] = (memsys.accesses, memsys.sw_prefetches_issued)
     if recorder is not None:
@@ -234,8 +288,7 @@ def memory_pcs(program):
 
 def run_one(cls, program, memory, stream_kind, instrumented, driver,
             cost_model=DEFAULT_COST_MODEL, max_steps=MAX_STEPS):
-    memsys = MemoryHierarchy(MACHINE) if memory == "hierarchy" \
-        else FlatMemory(latency=3)
+    memsys, lines = make_memory(memory)
     recorder = stream = None
     if stream_kind != "none":
         # A small batch exercises drain boundaries mid-block.
@@ -270,12 +323,12 @@ def run_one(cls, program, memory, stream_kind, instrumented, driver,
         outcome = (type(exc).__name__, str(exc))
     if stream is not None:
         stream.finish()
-    return observe(interp, memsys, recorder, outcome)
+    return observe(interp, memsys, recorder, outcome, lines)
 
 
 @settings(max_examples=120, deadline=None)
 @given(blocks=PROGRAMS,
-       memory=st.sampled_from(["flat", "hierarchy"]),
+       memory=st.sampled_from(MEMORIES),
        stream_kind=st.sampled_from(["none", "stream", "ifetch"]),
        instrumented=st.booleans(),
        driver=st.sampled_from(["native", "dynamo"]))
@@ -289,7 +342,7 @@ def test_generated_programs_match_reference(blocks, memory, stream_kind,
     assert compiled == reference
 
 
-@pytest.mark.parametrize("memory", ["flat", "hierarchy"])
+@pytest.mark.parametrize("memory", MEMORIES)
 @pytest.mark.parametrize("stream_kind", ["none", "stream", "ifetch"])
 @pytest.mark.parametrize("instrumented", [False, True])
 @pytest.mark.parametrize("driver", ["native", "dynamo"])
@@ -316,6 +369,155 @@ def test_matrix_on_a_fixed_program(memory, stream_kind, instrumented,
                         stream_kind, instrumented, driver)
     assert compiled == reference
     assert compiled["steps"] > 100
+
+
+# -- the inline L1 hit lanes ----------------------------------------------------
+
+#: A loop whose accesses straddle lines at some iterations (8 bytes at
+#: +60, 4 at +126) and always (16 bytes), then a call and a return.
+#: Every fourth pass takes a detour through a block on a code line of
+#: its own, so the loop's code spans three lines of the two-line L1I
+#: and the instruction lane meets hits on lines that are not MRU.
+LANE_BLOCKS = [
+    ([("load", 0, (BASE, 1, 8, 0, 8)),
+      ("load", 2, (BASE, 1, 8, 60, 8)),
+      ("store", 0, 0, (BASE, 1, 4, 126, 4)),
+      ("load", 3, (BASE, None, 1, 56, 16)),
+      ("store", None, 7, (BASE, 1, 8, 512, 8)),
+      ("alu_imm", ADD, 1, 1), ("alu_imm", AND, 1, 63),
+      ("mov", 5, 1), ("alu_imm", AND, 5, 3),
+      ("cmp_imm", 5, 0)], ("jcc", CC_EQ, 4, 5)),
+    ([("work", 3)], ("call", 2, 3)),
+    ([("load", 4, (BASE, None, 1, 8, 8))], ("ret",)),
+    ([], ("halt",)),
+    ([("nop",)] * 3, ("jmp", 5)),
+    ([("cmp_imm", 1, 0)], ("jcc", CC_NE, 0, 1)),
+]
+
+
+class MidRun(RuntimeHooks):
+    """Runs ``action(memsys, tick)`` at every timer tick."""
+
+    def __init__(self, memsys, action) -> None:
+        self.memsys = memsys
+        self.action = action
+        self.ticks = 0
+
+    def timer_sample(self, trace) -> None:
+        self.ticks += 1
+        self.action(self.memsys, self.ticks)
+
+
+def run_lanes(cls, memory, action=None, attach_late=False):
+    """Run ``LANE_BLOCKS`` natively (``action`` after every fifth
+    block) and under DynamoSim (``action`` at every timer tick);
+    ``attach_late`` attaches a line recorder after the interpreter is
+    built."""
+    program = build_program(LANE_BLOCKS)
+    seen = []
+    for driver in ("native", "dynamo"):
+        memsys, lines = make_memory(memory)
+        hooks = MidRun(memsys, action) if action else None
+        with interpreter_class(cls):
+            dynamo = DynamoSim(program, memsys, hooks=hooks, config=(
+                RuntimeConfig(hot_threshold=2, max_trace_blocks=4,
+                              sample_period=150)))
+        interp = dynamo.interp
+        if attach_late:
+            lines = memsys.line_stream.attach(LineRecorder())
+        if driver == "dynamo":
+            outcome = vars(dynamo.run())
+        else:
+            interp.bind_lanes()
+            label, blocks = program.entry, 0
+            while label is not None:
+                label = interp.execute_block(label)
+                blocks += 1
+                if action and blocks % 5 == 0:
+                    action(memsys, blocks // 5)
+            outcome = None
+        seen.append(observe(interp, memsys, None, outcome, lines))
+        if action:
+            assert (hooks.ticks if driver == "dynamo" else blocks) > 5
+    return seen
+
+
+def flush_and_reset(memsys, tick):
+    memsys.l1.flush()
+    memsys.l1i.flush()
+    if tick % 3 == 0:
+        memsys.reset_stats()
+
+
+@pytest.mark.parametrize("memory", MEMORIES[1:] + ["random"])
+def test_lanes_match_reference_across_flushes_and_resets(memory):
+    """Mid-run ``flush()`` (which rebinds ``_tags``/``_set_len``) and
+    ``reset_stats()`` stay visible to bound blocks, straddles included."""
+    compiled = run_lanes(Interpreter, memory, flush_and_reset)
+    assert compiled == run_lanes(ReferenceInterpreter, memory,
+                                 flush_and_reset)
+
+
+def test_line_consumer_attached_late_sees_every_event():
+    """A line consumer attached after the interpreter is built, or
+    mid-run, sees the same line events -- L1 hits included -- as under
+    the reference interpreter."""
+    compiled = run_lanes(Interpreter, "plru", attach_late=True)
+    assert compiled == run_lanes(ReferenceInterpreter, "plru",
+                                 attach_late=True)
+    assert compiled[0]["lines"][3].count(True) > 100
+
+    seen = {}
+    for cls in (Interpreter, ReferenceInterpreter):
+        recorders = []
+
+        def attach(memsys, tick):
+            if tick == 2:
+                recorders.append(
+                    memsys.line_stream.attach(LineRecorder()))
+
+        seen[cls] = (run_lanes(cls, "plru", attach),
+                     [recorder.columns for recorder in recorders])
+    assert seen[Interpreter] == seen[ReferenceInterpreter]
+    assert all(columns[3].count(True) > 50
+               for columns in seen[Interpreter][1])
+
+
+@pytest.mark.parametrize("memory,lanes_open", [
+    ("hierarchy", True), ("plru", True), ("fifo", True),
+    ("plru-lines", False),
+])
+def test_lanes_serve_l1_hits_inline(memory, lanes_open):
+    """With the lanes open, most L1 hits never call ``access`` or
+    ``fetch``; a line consumer closes the data lane, so every data
+    reference calls ``access``."""
+    calls = {"access": 0, "fetch": 0}
+
+    def counting(name):
+        method = getattr(MemoryHierarchy, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return counted
+
+    program = build_program(LANE_BLOCKS)
+    memsys, _ = make_memory(memory)
+    stream = RefStream()
+    recorder = stream.attach(CollectingRefConsumer())
+    with mock.patch.object(MemoryHierarchy, "access", counting("access")), \
+            mock.patch.object(MemoryHierarchy, "fetch", counting("fetch")):
+        Interpreter(program, memsys, stream=stream).run_native()
+    stream.finish()
+    references = len(recorder.pcs)
+    # Straddles touch two lines, so the L1D counts more lines than
+    # there were references.
+    assert memsys.l1.stats.refs > references
+    if lanes_open:
+        assert calls["access"] < references // 2
+        assert calls["fetch"] < memsys.l1i.stats.refs // 2
+    else:
+        assert calls["access"] == references
 
 
 #: Operand values around every edge the ALU and flags care about;
