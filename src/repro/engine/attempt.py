@@ -16,13 +16,19 @@ spec alone -- a spec is self-contained -- so attempts share no state
 with the coordinator; the unit of result is the JSON-safe *payload
 dict* (:func:`repro.serialize.outcome_to_dict`), cheap to ship across
 process and network boundaries and exactly what the persistent store
-writes.  The one thing a worker keeps between attempts is the last
-program it built (:func:`cached_program`): runs never write to a
-:class:`~repro.isa.Program`, and :func:`~repro.engine.fusion.plan_groups`
-orders a wavefront program-major, so one entry serves every group of a
-program in a row.  Every build also records the program's static
-load/store counts (:func:`static_counts`), which is all the tables
-read from a program, so rendering holds no program of its own.
+writes.  A worker keeps two things between attempts, both in one
+entry.  The first is the last program it built (:func:`cached_program`):
+runs never write to a :class:`~repro.isa.Program`, and
+:func:`~repro.engine.fusion.plan_groups` orders a wavefront
+program-major, so one entry serves every group of a program in a row.
+The second is the finished Cachegrind rider of each cache geometry that
+program ran on (:func:`execute_group`): the rider models no timing,
+prefetching or instruction fetch, so every later group of the program
+on that geometry reuses it instead of simulating the same references
+again.  The riders are dropped with their program.  Every build also
+records the program's static load/store counts (:func:`static_counts`),
+which is all the tables read from a program, so rendering holds no
+program of its own.
 """
 
 from __future__ import annotations
@@ -35,8 +41,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.faults import (
     FaultPlan, InjectedCrash, active_fault_plan, install_fault_plan,
 )
+from repro.fullsim import CachegrindSimulator
 from repro.isa import Program
-from repro.memory import get_machine
+from repro.memory import CacheConfig, get_machine
 from repro.runners import (
     MODE_KWARGS, OBSERVER_KWARGS, RunOutcome, run_fused,
 )
@@ -55,14 +62,39 @@ except ImportError:  # pragma: no cover -- a host without getrusage
 _MAXRSS_PER_KIB = 1024 if sys.platform == "darwin" else 1
 
 
-#: The last program built in this process, as ``((workload, scale),
-#: program)``, or None.
-_last_program: Optional[Tuple[Tuple[str, float], Program]] = None
+#: ``((workload, scale), program, riders)``: a built program and the
+#: Cachegrind riders finished on it.  ``riders`` maps a machine's
+#: ``(l1, l2)`` cache configs to the
+#: :class:`~repro.fullsim.CachegrindSimulator` a completed run of the
+#: program fed, so the riders go when the program goes.
+_ProgramEntry = Tuple[
+    Tuple[str, float], Program,
+    Dict[Tuple[CacheConfig, CacheConfig], CachegrindSimulator]]
+
+#: The last program built in this process, with its riders, or None.
+_last_program: Optional[_ProgramEntry] = None
 
 #: ``(static_loads, static_stores)`` of every program built in this
 #: process, keyed by ``(workload, scale)``: two ints a program, kept
 #: after the program itself is dropped.
 _static_counts: Dict[Tuple[str, float], Tuple[int, int]] = {}
+
+
+def _program_entry(workload: str, scale: float) -> _ProgramEntry:
+    """The :data:`_last_program` entry for ``workload`` at ``scale``,
+    building the program (and dropping the previous entry) on a miss."""
+    global _last_program
+    key = (workload, scale)
+    entry = _last_program
+    if entry is not None and entry[0] == key:
+        get_telemetry().count("workloads.program_reuses")
+        return entry
+    _last_program = None
+    program = get_workload(workload).build(scale)
+    _last_program = entry = (key, program, {})
+    _static_counts[key] = (program.static_loads(), program.static_stores())
+    get_telemetry().count("workloads.program_builds")
+    return entry
 
 
 def cached_program(workload: str, scale: float) -> Program:
@@ -77,18 +109,7 @@ def cached_program(workload: str, scale: float) -> Program:
     data image).  Each build records the program's
     :func:`static_counts`.
     """
-    global _last_program
-    key = (workload, scale)
-    entry = _last_program
-    if entry is not None and entry[0] == key:
-        get_telemetry().count("workloads.program_reuses")
-        return entry[1]
-    _last_program = None
-    program = get_workload(workload).build(scale)
-    _last_program = (key, program)
-    _static_counts[key] = (program.static_loads(), program.static_stores())
-    get_telemetry().count("workloads.program_builds")
-    return program
+    return _program_entry(workload, scale)[1]
 
 
 def static_counts(workload: str, scale: float) -> Tuple[int, int]:
@@ -121,16 +142,36 @@ def execute_group(group: Sequence[RunSpec]) -> List[RunOutcome]:
     (:func:`~repro.engine.fusion.fusion_key`), so the first member's
     execution fields stand for all of them and each member contributes
     only its observers.
+
+    A Cachegrind rider's result depends only on the program's data
+    references and the machine's L1/L2 geometry, so the first completed
+    rider of a program on a geometry is kept with the cached program
+    and handed to every later member that asks for one: those groups
+    run without a rider (``fullsim.cachegrind_reuses`` counts them).
     """
     first = group[0]
-    program = cached_program(first.workload, first.scale)
+    _, program, riders = _program_entry(first.workload, first.scale)
     machine = get_machine(first.machine, scale=first.machine_scale)
     options: Dict[str, Any] = {}
     if first.mode == "umi":
         options["umi_config"] = first.umi_config()
-    return run_fused(program, machine, first.mode,
-                     [_observers(spec) for spec in group],
-                     hw_prefetch=first.hw_prefetch, **options)
+    variants = [_observers(spec) for spec in group]
+    wants = [bool(v.get("with_cachegrind")) for v in variants]
+    geometry = (machine.l1, machine.l2)
+    kept = riders.get(geometry) if any(wants) else None
+    if kept is not None:
+        variants = [{**v, "with_cachegrind": False} for v in variants]
+    outcomes = run_fused(program, machine, first.mode, variants,
+                         hw_prefetch=first.hw_prefetch, **options)
+    if kept is not None:
+        for outcome, want in zip(outcomes, wants):
+            if want:
+                outcome.cachegrind = kept
+        get_telemetry().count("fullsim.cachegrind_reuses")
+    elif any(wants):
+        # run_fused returned, so the rider saw the whole run.
+        riders[geometry] = outcomes[wants.index(True)].cachegrind
+    return outcomes
 
 
 def execute_spec(spec: RunSpec) -> RunOutcome:

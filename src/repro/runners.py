@@ -324,6 +324,21 @@ def _refs_served(hierarchy: MemoryHierarchy) -> int:
     return hierarchy.l1.stats.refs + (l1i.stats.refs if l1i else 0)
 
 
+def _check_rider(stream: RefStream,
+                 cachegrind: CachegrindSimulator) -> None:
+    """Fail the run if the hub quarantined its Cachegrind rider.
+
+    A quarantined rider stopped seeing references part-way through, so
+    its per-pc statistics are truncated ground truth; unlike a registry
+    consumer it has no summary slot to report the quarantine in.
+    """
+    for record in stream.quarantined:
+        if record.consumer is cachegrind:
+            raise RuntimeError(
+                f"Cachegrind rider quarantined in {record.stage}: "
+                f"{record.error}")
+
+
 def run_fused(
     program: Program,
     machine: MachineConfig,
@@ -348,8 +363,15 @@ def run_fused(
     hardware counters observe line events without touching simulator
     state, Cachegrind keeps its own untimed cache model, and shadow
     hierarchy consumers replay the recorded per-event cycles -- so each
-    variant's numbers are bit-identical to a standalone run.  Returns
-    one :class:`RunOutcome` per variant, in order; a variant gets
+    variant's numbers are bit-identical to a standalone run.  The
+    Cachegrind rider goes further: it models no timing, prefetching or
+    instruction fetch, so its result is the offline
+    :func:`run_cachegrind` of the program on the machine's L1/L2 in
+    every mode, and :func:`repro.engine.attempt.execute_group` keeps a
+    finished rider to serve later groups of the same program and
+    geometry.  A rider the stream quarantined would hold truncated
+    statistics, so the run fails instead.  Returns one
+    :class:`RunOutcome` per variant, in order; a variant gets
     ``cachegrind`` only if it asked for it and ``derived`` only for its
     own consumers.
     """
@@ -362,8 +384,10 @@ def run_fused(
             f"unknown run mode {mode!r}; known: {sorted(_STARTERS)}"
         ) from None
     hierarchy = _make_hierarchy(machine, hw_prefetch)
-    any_cachegrind = any(v.get("with_cachegrind") for v in variants)
-    cachegrind = CachegrindSimulator(machine) if any_cachegrind else None
+    cachegrind = None
+    if any(v.get("with_cachegrind") for v in variants):
+        cachegrind = CachegrindSimulator(machine)
+        get_telemetry().count("fullsim.cachegrind_runs")
     plan = _StreamPlan(machine, program,
                        [name for v in variants
                         for name in v.get("consumers", ())])
@@ -385,6 +409,8 @@ def run_fused(
 
     base = run()
     _finish_streams(stream, hierarchy)
+    if cachegrind is not None:
+        _check_rider(stream, cachegrind)
     get_telemetry().count("memory.refs_served", _refs_served(hierarchy))
 
     all_derived = plan.derived()

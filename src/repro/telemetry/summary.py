@@ -4,9 +4,9 @@ Turns a registry snapshot + event log into the tables behind
 ``umi-experiments telemetry DIR`` and ``summary.txt``:
 
 * an overview (specs and fusion groups executed, program builds and
-  reuses, references the L1D and L1I served, wall time, the executing
-  processes' peak RSS, store hit ratio, analyzer activity, event
-  volume);
+  reuses, Cachegrind runs and reuses, references the L1D and L1I
+  served, wall time, the executing processes' peak RSS, store hit
+  ratio, analyzer activity, event volume);
 * the slowest executed specs (from ``executor.spec`` span events);
 * per-workload analyzer time share (``span.umi.analyzer`` wall seconds
   against ``span.executor.spec`` wall seconds, per workload label) --
@@ -92,6 +92,12 @@ def overview_table(metrics: List[Dict[str, Any]],
                   _counter_total(metrics, "workloads.program_builds"))
     table.add_row("program reuses",
                   _counter_total(metrics, "workloads.program_reuses"))
+    # The cached program also keeps its finished Cachegrind rider per
+    # cache geometry; later groups that ask for one reuse it.
+    table.add_row("cachegrind runs",
+                  _counter_total(metrics, "fullsim.cachegrind_runs"))
+    table.add_row("cachegrind reuses",
+                  _counter_total(metrics, "fullsim.cachegrind_reuses"))
     # Read from the L1D and L1I stats after each execution, so it
     # counts references served inline by compiled blocks too.
     table.add_row("references served",

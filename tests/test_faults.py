@@ -540,6 +540,33 @@ class TestConsumerQuarantine:
         clean = ExecutionEngine(jobs=1).run(spec)
         assert "quarantined" not in clean.derived["phase"]
 
+    def test_quarantined_cachegrind_rider_fails_the_run(
+            self, monkeypatch, global_telemetry):
+        # A rider that stops seeing references holds truncated ground
+        # truth: the group fails instead of storing it, and nothing is
+        # kept for later groups to reuse.
+        from repro.engine import attempt
+        from repro.fullsim import CachegrindSimulator
+        on_batch = CachegrindSimulator.on_batch
+
+        def second_batch_raises(self, batch):
+            self.batches_seen = getattr(self, "batches_seen", 0) + 1
+            if self.batches_seen == 2:
+                raise RuntimeError("rider boom")
+            on_batch(self, batch)
+
+        monkeypatch.setattr(CachegrindSimulator, "on_batch",
+                            second_batch_raises)
+        monkeypatch.setattr(attempt, "_last_program", None)
+        engine = ExecutionEngine(jobs=1, strict=False, retry=policy())
+        resolved = engine.run_many([native_spec(with_cachegrind=True)])
+        failed = resolved[0]
+        assert isinstance(failed, FailedRun)
+        assert "Cachegrind rider quarantined in on_batch" in failed.error
+        assert "RuntimeError: rider boom" in failed.error
+        assert counter("stream.quarantined") == 1
+        assert attempt._last_program[2] == {}
+
 
 class TestStoreHealth:
     def _filled_store(self, tmp_path, plan=None):

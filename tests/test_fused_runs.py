@@ -8,11 +8,15 @@ third execution.  Every figure a fused run produces must be
 bit-identical to the one-execution-per-spec path.
 """
 
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
+import repro.runners as runners
+from repro.core import UMIConfig
 from repro.engine import RunSpec, attempt, cached_program, \
     execute_group_payloads, execute_spec_payload, fusion_key, plan_groups
 from repro.engine.fusion import EXECUTION_FIELDS
@@ -20,8 +24,8 @@ from repro.isa import Instruction, MemOperand
 from repro.experiments import ResultCache
 from repro.experiments import table4
 from repro.memory import get_machine
-from repro.runners import run_fused, run_native, run_umi
-from repro.serialize import outcome_to_dict
+from repro.runners import run_cachegrind, run_fused, run_native, run_umi
+from repro.serialize import _cachegrind_to_dict, outcome_to_dict
 from repro.workloads import get_workload
 
 WORKLOADS = ["em3d", "mst", "health"]
@@ -284,3 +288,114 @@ class TestProgramReuse:
         assert cached_program("em3d", 2 * SCALE) is not first
         assert cached_program("mst", SCALE) is not first
         assert cached_program("em3d", SCALE) is not first
+
+
+#: Fused runs whose Cachegrind rider must equal the offline simulation:
+#: ``(mode, hw_prefetch, options, consumers)``.
+RIDER_RUNS = {
+    "native": ("native", False, {}, ()),
+    "native-hwpf": ("native", True, {}, ()),
+    "umi": ("umi", False, {"umi_config": UMIConfig()}, ()),
+    "umi-nosampling-hwpf-swpf": (
+        "umi", True,
+        {"umi_config": UMIConfig(use_sampling=False,
+                                 enable_sw_prefetch=True)}, ()),
+    "umi-shadow-hwpf": ("umi", False, {"umi_config": UMIConfig()},
+                        ("shadow-hwpf",)),
+}
+
+
+@pytest.mark.parametrize("machine_name", ["pentium4", "athlon-k7"])
+@pytest.mark.parametrize("workload", ["181.mcf", "gen:thrash:pentium4:s0"])
+def test_cachegrind_rider_is_the_offline_simulation(workload, machine_name):
+    """The invariant the rider reuse rests on: whatever the mode, the
+    prefetchers or the consumers, the rider of a run equals the offline
+    Cachegrind simulation on flat memory with no timing."""
+    program = build(workload)
+    machine = get_machine(machine_name, scale=MACHINE_SCALE)
+    offline = _cachegrind_to_dict(run_cachegrind(program, machine))
+    assert offline["summary"]["d1_refs"] > 0
+    for name, (mode, hw_prefetch, options, consumers) in \
+            RIDER_RUNS.items():
+        outcome, = run_fused(program, machine, mode,
+                             [{"with_cachegrind": True,
+                               "consumers": consumers}],
+                             hw_prefetch=hw_prefetch, **options)
+        assert _cachegrind_to_dict(outcome.cachegrind) == offline, name
+
+
+class TestCachegrindReuse:
+    """A finished rider serves every later group of its program and
+    cache geometry, and goes when the program goes."""
+
+    UMI = RunSpec.umi("181.mcf", SCALE, "pentium4", MACHINE_SCALE,
+                      with_cachegrind=True)
+    NATIVE = RunSpec.native("181.mcf", SCALE, "pentium4", MACHINE_SCALE,
+                            with_cachegrind=True, hw_prefetch=True)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every rider run_fused builds, in order, from an empty cache."""
+        riders = []
+
+        class Counting(runners.CachegrindSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                riders.append(self)
+
+        monkeypatch.setattr(runners, "CachegrindSimulator", Counting)
+        monkeypatch.setattr(attempt, "_last_program", None)
+        return riders
+
+    @staticmethod
+    def payload_bytes(spec):
+        return json.dumps(execute_spec_payload(spec), sort_keys=True)
+
+    def test_second_group_reuses_the_rider(self, built, monkeypatch):
+        expected = []
+        for spec in (self.UMI, self.NATIVE):
+            monkeypatch.setattr(attempt, "_last_program", None)
+            expected.append(self.payload_bytes(spec))
+        assert len(built) == 2
+        monkeypatch.setattr(attempt, "_last_program", None)
+        del built[:]
+        # A UMI group, then a native group with the hardware prefetcher:
+        # different executions, one program and one cache geometry.
+        assert [self.payload_bytes(self.UMI),
+                self.payload_bytes(self.NATIVE)] == expected
+        assert len(built) == 1
+        # A fused group hands the kept rider to every member asking.
+        plain = RunSpec.native("181.mcf", SCALE, "pentium4", MACHINE_SCALE)
+        outcomes = attempt.execute_group([plain, self.NATIVE])
+        assert len(built) == 1
+        assert outcomes[0].cachegrind is None
+        assert outcomes[1].cachegrind is built[0]
+
+    @pytest.mark.parametrize("other", [
+        RunSpec.umi("181.mcf", SCALE, "pentium4", MACHINE_SCALE // 2,
+                    with_cachegrind=True),
+        RunSpec.umi("181.mcf", SCALE, "athlon-k7", MACHINE_SCALE,
+                    with_cachegrind=True),
+        RunSpec.umi("mst", SCALE, "pentium4", MACHINE_SCALE,
+                    with_cachegrind=True),
+        RunSpec.umi("181.mcf", 2 * SCALE, "pentium4", MACHINE_SCALE,
+                    with_cachegrind=True),
+    ], ids=["l1-l2", "machine", "program", "scale"])
+    def test_other_geometry_or_program_misses(self, built, other):
+        execute_spec_payload(self.UMI)
+        execute_spec_payload(other)
+        assert len(built) == 2
+
+    def test_rider_never_outlives_its_program(self, built):
+        execute_spec_payload(self.UMI)
+        rider = weakref.ref(built.pop())
+        program = weakref.ref(cached_program("181.mcf", SCALE))
+        machine = get_machine("pentium4", MACHINE_SCALE)
+        assert attempt._last_program[2] \
+            == {(machine.l1, machine.l2): rider()}
+        # Building the next program drops the last one with its riders:
+        # at most one program (and its riders) is alive per process.
+        cached_program("mst", SCALE)
+        gc.collect()
+        assert program() is None and rider() is None
+        assert attempt._last_program[2] == {}

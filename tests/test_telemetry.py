@@ -445,6 +445,30 @@ class TestCLITelemetry:
         assert rows["program builds"] == 1
         assert rows["program reuses"] == 1
 
+    def test_overview_counts_cachegrind_runs_and_reuses(
+            self, tmp_path, global_telemetry, monkeypatch):
+        # Three groups of one program on one cache geometry simulate
+        # Cachegrind once; another machine scale is another geometry.
+        from repro.engine import attempt
+        from repro.telemetry.export import load_telemetry_dir
+        monkeypatch.setattr(attempt, "_last_program", None)
+        global_telemetry.enable()
+        engine = ExecutionEngine(jobs=1)
+        engine.run_many([
+            umi_spec(with_cachegrind=True),
+            native_spec(with_cachegrind=True),
+            native_spec(with_cachegrind=True, hw_prefetch=True),
+            RunSpec.umi(WORKLOAD, SCALE, "pentium4", MACHINE_SCALE // 2,
+                        with_cachegrind=True),
+            native_spec(),
+        ])
+        directory = tmp_path / "telemetry"
+        write_telemetry_dir(global_telemetry, directory)
+        rows = dict(overview_table(*load_telemetry_dir(directory)).rows)
+        assert rows["fusion groups executed"] == 4
+        assert rows["cachegrind runs"] == 2
+        assert rows["cachegrind reuses"] == 2
+
     def test_overview_counts_references_served(self, tmp_path, capsys,
                                                global_telemetry,
                                                monkeypatch):
