@@ -37,6 +37,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import selectors
+import signal
 import socket
 import time
 from dataclasses import dataclass, field
@@ -192,6 +193,9 @@ class InProcessPool(WorkerPool):
 
 def _local_lease_main(conn: Any, lease: Lease) -> None:
     """Entry point of one dedicated local lease process."""
+    # A forked process inherits the coordinator's SIGTERM handler;
+    # terminating an expired lease must end its process.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         result = run_lease(lease)
     except BaseException as exc:  # noqa: BLE001 -- must cross the pipe

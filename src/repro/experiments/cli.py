@@ -461,12 +461,21 @@ def _run_experiments(args, names: List[str], store,
     except ValueError as exc:  # malformed --workers spec
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    draining = False
+
     def _drain(_signum, _frame):
         # Graceful coordinator shutdown: only flips a flag (and the
         # pool's hand-off bit); the wave loop notices at its next
         # pass, stops granting, lets in-flight leases finish, and
         # raises DrainInterrupt -- agents are severed, not shut down,
         # so their rejoin loops find the replacement coordinator.
+        # A second SIGTERM aborts at once, like Ctrl-C: an in-process
+        # group can run for minutes, and every landed group is
+        # already checkpointed, so --resume stays safe.
+        nonlocal draining
+        if draining:
+            raise DrainInterrupt("second SIGTERM: aborted in flight")
+        draining = True
         cache.engine.executor.request_drain()
 
     previous = None

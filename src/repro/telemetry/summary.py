@@ -5,7 +5,8 @@ Turns a registry snapshot + event log into the tables behind
 
 * an overview (specs and fusion groups executed, program builds and
   reuses, Cachegrind runs and reuses, references the L1D and L1I
-  served, wall time, the executing processes' peak RSS, store hit
+  served, block code objects, templates and compile seconds, wall
+  time, the executing processes' peak RSS, store hit
   ratio, analyzer activity, event volume);
 * the slowest executed specs (from ``executor.spec`` span events);
 * per-workload analyzer time share (``span.umi.analyzer`` wall seconds
@@ -28,7 +29,7 @@ from repro.stats import Table
 TOP_SPECS = 10
 
 
-def _counter_total(metrics: List[Dict[str, Any]], name: str) -> int:
+def _counter_total(metrics: List[Dict[str, Any]], name: str) -> float:
     return sum(m["value"] for m in metrics
                if m["kind"] == "counter" and m["name"] == name)
 
@@ -102,6 +103,15 @@ def overview_table(metrics: List[Dict[str, Any]],
     # counts references served inline by compiled blocks too.
     table.add_row("references served",
                   _counter_total(metrics, "memory.refs_served"))
+    # Block compilation: code objects made on a code-cache miss, the
+    # compile() calls their shared templates took, and the seconds
+    # those misses cost.
+    table.add_row("code objects made",
+                  _counter_total(metrics, "vm.block_compiles"))
+    table.add_row("templates compiled",
+                  _counter_total(metrics, "vm.templates_compiled"))
+    table.add_row("compile seconds",
+                  "%.3f" % _counter_total(metrics, "vm.compile_s"))
     table.add_row("spec wall seconds",
                   "%.3f" % _timer_total(metrics, "span.executor.spec",
                                         "wall_s"))

@@ -496,6 +496,25 @@ class TestCLITelemetry:
                      for h in hierarchies)
         assert rows["references served"] == served > 0
 
+    def test_overview_counts_block_compiles(self, tmp_path, capsys,
+                                            global_telemetry, monkeypatch):
+        # From empty caches, table2 makes a code object per distinct
+        # block and compiles one template per block shape.
+        import repro.vm.compiler as compiler
+        from repro.experiments.cli import main
+        from repro.telemetry.export import load_telemetry_dir
+        monkeypatch.setattr(compiler, "_CODE_CACHE", {})
+        monkeypatch.setattr(compiler, "_TEMPLATES", {})
+        directory = tmp_path / "telemetry"
+        assert main(["table2", "--scale", "0.1", "--no-store",
+                     "--telemetry", str(directory)]) == 0
+        capsys.readouterr()
+        rows = dict(overview_table(*load_telemetry_dir(directory)).rows)
+        assert rows["code objects made"] == len(compiler._CODE_CACHE)
+        assert rows["templates compiled"] == len(compiler._TEMPLATES)
+        assert rows["code objects made"] > rows["templates compiled"] > 0
+        assert float(rows["compile seconds"]) > 0.0
+
     def test_overview_shows_peak_rss_of_the_spec_spans(
             self, tmp_path, capsys, global_telemetry):
         # Every executor.spec span records getrusage's peak RSS (KiB)
