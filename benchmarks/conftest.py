@@ -15,6 +15,7 @@ sessions (a warm store skips every previously-executed run).
 from __future__ import annotations
 
 import os
+from typing import Iterator
 
 import pytest
 
@@ -26,10 +27,13 @@ BENCH_STORE = os.environ.get("UMI_BENCH_STORE") or None
 
 
 @pytest.fixture(scope="session")
-def cache() -> ResultCache:
-    """One shared run cache for the whole benchmark session."""
-    return ResultCache(scale=BENCH_SCALE, jobs=BENCH_JOBS,
-                       store=BENCH_STORE)
+def cache() -> Iterator[ResultCache]:
+    """One shared run cache for the whole benchmark session; its
+    engine (and any worker agents) closes when the session ends."""
+    cache = ResultCache(scale=BENCH_SCALE, jobs=BENCH_JOBS,
+                        store=BENCH_STORE)
+    yield cache
+    cache.engine.close()
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,8 @@ experiments, runners, serialization and benchmarks; the engine
 persistent content-addressed :class:`ResultStore`, and an executor.
 Executors are layered as a coordinator/worker lease protocol: a
 :class:`LeaseExecutor` coordinator hands :class:`Lease` messages to a
-pluggable worker pool (in-process, dedicated local processes, or
-socket-connected standalone agents).  See the "Execution engine" and
+pluggable worker pool (in-process, or socket-connected worker agents
+forked locally or started on other nodes).  See the "Execution engine" and
 "Distributed execution" sections of ``docs/ARCHITECTURE.md``.
 """
 

@@ -5,8 +5,8 @@ fusion group (or a whole :class:`~repro.engine.protocol.Lease`), run it
 once and report a structured result.  It deliberately knows nothing
 about retries, deadlines, pools or sockets -- those live in the
 coordinator (:mod:`repro.engine.executor`) and the pool backends
-(:mod:`repro.engine.pools`).  Because the in-process pool, the local
-process pool and the standalone socket agent all call
+(:mod:`repro.engine.pools`).  Because the in-process pool and the
+worker agent (forked locally or started on another node) both call
 :func:`attempt_group` (directly or via :func:`run_lease`),
 fault-plan hooks fire and failures serialize byte-identically no
 matter where an attempt physically ran.
@@ -27,8 +27,9 @@ prefetching or instruction fetch, so every later group of the program
 on that geometry reuses it instead of simulating the same references
 again.  The riders are dropped with their program.  Every build also
 records the program's static load/store counts (:func:`static_counts`),
-which is all the tables read from a program, so rendering holds no
-program of its own.
+which is all the tables read from a program; a worker sends them home
+with each lease result (:func:`lease_static_counts`), so rendering
+holds no program of its own.
 """
 
 from __future__ import annotations
@@ -116,15 +117,31 @@ def static_counts(workload: str, scale: float) -> Tuple[int, int]:
     """``(static_loads, static_stores)`` of ``workload`` at ``scale``.
 
     Read from the counts :func:`cached_program` recorded when this
-    process built the program; a program this process never built
-    (its runs executed in a pool worker, a socket agent, or an earlier
-    process that filled the store) is built once through
-    :func:`cached_program`, which records them.
+    process built the program, or that a worker reported with a lease
+    result (:func:`record_static_counts`).  A program known to neither
+    (its runs came from the store an earlier process filled) is built
+    once through :func:`cached_program`, which records them.
     """
     key = (workload, scale)
     if key not in _static_counts:
         cached_program(workload, scale)
     return _static_counts[key]
+
+
+def lease_static_counts(lease) -> List[List[Any]]:
+    """The :class:`~repro.engine.protocol.LeaseResult` ``static_counts``
+    of ``lease``: ``[workload, scale, static_loads, static_stores]`` of
+    the program its group ran, if this process has recorded them."""
+    spec = lease.specs[0] if lease.specs else {}
+    key = (spec.get("workload"), spec.get("scale"))
+    counts = _static_counts.get(key)
+    return [[*key, *counts]] if counts is not None else []
+
+
+def record_static_counts(entries: Sequence[Sequence[Any]]) -> None:
+    """Record the static counts a worker reported for its programs."""
+    for workload, scale, loads, stores in entries:
+        _static_counts[(workload, scale)] = (loads, stores)
 
 
 def _observers(spec: RunSpec) -> Dict[str, Any]:

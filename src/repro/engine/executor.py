@@ -14,9 +14,9 @@ execution" section of ``docs/ARCHITECTURE.md``):
    ordinary :class:`RetryPolicy`), and merges results and telemetry in
    submission order;
 3. the **worker backends** (:mod:`repro.engine.pools`) -- in-process,
-   dedicated local processes, or socket-connected standalone agents
-   (:mod:`repro.engine.worker`), all indistinguishable to the
-   coordinator.
+   or the socket-connected agents of :mod:`repro.engine.worker`,
+   forked locally or started on other nodes, all indistinguishable to
+   the coordinator.
 
 The unit of work is deliberately the *payload dict* (the JSON-safe
 summary from :func:`repro.serialize.outcome_to_dict`), not the live
@@ -66,7 +66,7 @@ Fault injection (:mod:`repro.faults`) hooks in at exactly one seam:
 :func:`repro.engine.attempt.attempt_group` consults the installed plan
 before executing, so injected crashes and hangs take the same code
 path -- and produce byte-identical failure payloads -- whether the
-attempt runs in-process, in a local worker process, or on a remote
+attempt runs in-process, in a local agent process, or on a remote
 agent.
 """
 
@@ -82,6 +82,7 @@ from typing import (
 from repro.faults import active_fault_plan, worker_loss_failure
 from repro.telemetry import get_telemetry
 
+from .attempt import record_static_counts
 from .pools import PoolEvent, WorkerPool, make_pool
 from .protocol import Lease
 from .spec import RunSpec
@@ -419,6 +420,7 @@ class LeaseExecutor:
         """
         group = sweep.groups[index]
         if event.kind == "result":
+            record_static_counts(event.static_counts)
             self._attribute(telemetry, event.worker, "leases")
             self._attribute(telemetry, event.worker, "specs",
                             n=len(group))

@@ -2,7 +2,7 @@
 
 The coordinator (:class:`repro.engine.executor.LeaseExecutor`) plans a
 wavefront and hands :class:`~repro.engine.protocol.Lease` objects to a
-:class:`WorkerPool`; the pool decides where they physically run.  Three
+:class:`WorkerPool`; the pool decides where they physically run.  Two
 backends share the one interface:
 
 ``InProcessPool``
@@ -10,19 +10,20 @@ backends share the one interface:
     under the coordinator's own telemetry.  Serial, deterministic, no
     subprocesses -- what ``--jobs 1`` (the default) resolves to.
 
-``LocalProcessPool``
-    Today's execution model re-expressed over leases: one dedicated,
-    killable ``fork`` process per in-flight lease, results over a
-    pipe, expired leases terminated.  This is what ``--jobs N``
-    resolves to.
-
 ``SocketPool``
-    Listens on a TCP port; standalone agents started with
-    ``python -m repro.engine.worker --connect HOST:PORT`` register via
-    the hello/welcome handshake and lease work over JSON-line frames.
-    A dropped connection surfaces as a lost lease; an expired remote
-    lease severs the connection (a remote process cannot be killed, so
-    the pool stops trusting anything it might still send).
+    Listens on a TCP port; worker agents
+    (:func:`repro.engine.worker.serve`) register via the hello/welcome
+    handshake and lease work over JSON-line frames.  A dropped
+    connection surfaces as a lost lease; an expired remote lease
+    severs the connection (a remote process cannot be killed, so the
+    pool stops trusting anything it might still send).  ``--workers``
+    resolves to one, served by agents started with ``python -m
+    repro.engine.worker --connect HOST:PORT``.
+
+``--jobs N`` resolves to a :class:`LocalProcessPool`: a ``SocketPool``
+on ``127.0.0.1`` whose N agents are local processes running that same
+agent loop, so there is one lease loop outside the coordinator, and
+the pool adds only process supervision (start, replace, join).
 
 A pool never retries, classifies, or merges -- it reports raw
 :class:`PoolEvent` facts ("this lease produced this result", "this
@@ -34,24 +35,21 @@ byte-identical.
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import os
 import selectors
-import signal
 import socket
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.faults import (
     NET_FRAME_KINDS, FaultyStream, NetFaultState, active_fault_plan,
 )
 
-from .attempt import attempt_group, run_lease
+from .attempt import attempt_group
 from .protocol import (
-    ConnectionClosed, Heartbeat, HeartbeatAck, Lease, LeaseResult,
-    ProtocolError, Shutdown, WorkerHello, WorkerWelcome, read_frame,
-    write_frame,
+    Heartbeat, HeartbeatAck, Lease, LeaseResult, ProtocolError, Shutdown,
+    WorkerHello, WorkerWelcome, read_frame, write_frame,
 )
 
 #: How long a coordinator-side blocking frame read may take before the
@@ -75,8 +73,9 @@ class PoolEvent:
     ``kind`` is one of:
 
     - ``"result"`` -- the lease finished; ``status``/``value`` are the
-      attempt outcome and ``snapshot`` the worker telemetry (or
-      ``None``).
+      attempt outcome, ``snapshot`` the worker telemetry (or
+      ``None``) and ``static_counts`` the counts of the program the
+      worker ran.
     - ``"expired"`` -- the lease outlived its deadline; the pool has
       already killed or severed the worker.
     - ``"lost"`` -- the worker died (or was declared dead by the
@@ -99,6 +98,8 @@ class PoolEvent:
     value: Any = None
     snapshot: Optional[Dict[str, Any]] = None
     epoch: int = 0
+    #: A result's :attr:`~repro.engine.protocol.LeaseResult.static_counts`.
+    static_counts: Tuple[Tuple[Any, ...], ...] = ()
 
 
 class WorkerPool:
@@ -191,131 +192,13 @@ class InProcessPool(WorkerPool):
         self._events.clear()
 
 
-def _local_lease_main(conn: Any, lease: Lease) -> None:
-    """Entry point of one dedicated local lease process."""
-    # A forked process inherits the coordinator's SIGTERM handler;
-    # terminating an expired lease must end its process.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    try:
-        result = run_lease(lease)
-    except BaseException as exc:  # noqa: BLE001 -- must cross the pipe
-        result = ("error", {
-            "reason": "error",
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": None,
-            "member": 0 if len(lease.specs) == 1 else None,
-        }, None)
-    try:
-        conn.send(result)
-    finally:
-        conn.close()
-
-
-@dataclass
-class _LocalRun:
-    """Coordinator-side record of one in-flight local lease."""
-
-    lease: Lease
-    process: Any
-    conn: Any
-    slot: int
-    started: float = field(default_factory=time.monotonic)
-
-
-class LocalProcessPool(WorkerPool):
-    """One dedicated, killable ``fork`` process per in-flight lease.
-
-    Worker ids are stable slot names (``local/0`` .. ``local/N-1``):
-    the *slot* persists across leases even though each lease gets a
-    fresh process, which keeps per-worker telemetry attribution
-    meaningful.  An expired lease's process is terminated and joined --
-    never abandoned -- and a process that exits without sending
-    (killed, OOM, ``os._exit``) surfaces as a ``"lost"`` event.
-    """
-
-    kind = "local"
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
+def _quietly(*closers: Any) -> None:
+    """Call each closer, ignoring the ``OSError`` of a dead peer."""
+    for closer in closers:
         try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover -- non-POSIX fallback
-            self._ctx = multiprocessing.get_context()
-        self._running: Dict[str, _LocalRun] = {}
-        self._free = list(range(jobs))
-
-    @property
-    def capacity(self) -> int:
-        return self.jobs
-
-    def has_capacity(self) -> bool:
-        return len(self._running) < self.jobs
-
-    def submit(self, lease: Lease) -> None:
-        if not self._free:
-            raise RuntimeError("no free local worker slot")
-        self._free.sort()
-        slot = self._free.pop(0)
-        recv_end, send_end = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_local_lease_main, args=(send_end, lease), daemon=True)
-        process.start()
-        send_end.close()
-        self._running[lease.lease_id] = _LocalRun(
-            lease=lease, process=process, conn=recv_end, slot=slot)
-
-    def wait(self, timeout: Optional[float] = None) -> List[PoolEvent]:
-        if not self._running:
-            return []
-        wait_for = timeout
-        deadlines = [run.started + run.lease.deadline_s
-                     for run in self._running.values()
-                     if run.lease.deadline_s is not None]
-        if deadlines:
-            expiry = max(0.0, min(deadlines) - time.monotonic())
-            wait_for = expiry if wait_for is None else min(wait_for, expiry)
-        ready = multiprocessing.connection.wait(
-            [run.conn for run in self._running.values()], wait_for)
-        now = time.monotonic()
-        events: List[PoolEvent] = []
-        for lease_id in list(self._running):
-            run = self._running[lease_id]
-            worker = f"local/{run.slot}"
-            deadline = run.lease.deadline_s
-            # Expiry beats a late result: the attempt overran its
-            # deadline even if a payload squeaked onto the pipe.
-            if deadline is not None and now - run.started > deadline:
-                run.process.terminate()
-                events.append(PoolEvent("expired", lease_id, worker))
-            elif run.conn in ready:
-                try:
-                    status, value, snapshot = run.conn.recv()
-                    events.append(PoolEvent(
-                        "result", lease_id, worker,
-                        status=status, value=value, snapshot=snapshot))
-                except EOFError:
-                    events.append(PoolEvent("lost", lease_id, worker))
-            else:
-                continue
-            self._reap(lease_id)
-        return events
-
-    def _reap(self, lease_id: str) -> None:
-        run = self._running.pop(lease_id)
-        run.process.join()
-        run.conn.close()
-        self._free.append(run.slot)
-
-    def abort(self) -> None:
-        for run in self._running.values():
-            run.process.terminate()
-        for lease_id in list(self._running):
-            self._reap(lease_id)
-
-    def close(self) -> None:
-        self.abort()
+            closer()
+        except OSError:
+            pass
 
 
 @dataclass
@@ -447,46 +330,31 @@ class SocketPool(WorkerPool):
         conn, _addr = self._listener.accept()
         conn.settimeout(FRAME_READ_TIMEOUT_S)
         stream = conn.makefile("rwb")
-
-        def _reject() -> None:
-            # Close the buffered stream *and* the socket: makefile()
-            # holds an io-ref on the fd, so closing the socket alone
-            # leaks it under registration churn.
-            for closer in (stream.close, conn.close):
-                try:
-                    closer()
-                except OSError:
-                    pass
-
         try:
             hello = read_frame(stream)
             if not isinstance(hello, WorkerHello):
                 raise ProtocolError(
                     f"expected hello, got {type(hello).__name__}")
+            base = hello.worker or f"w{self._seq}"
+            self._seq += 1
+            worker_id = base
+            bump = 1
+            while worker_id in self.workers:
+                stale = self.workers[worker_id]
+                if stale.suspect:
+                    # The name's previous holder is a fenced-off
+                    # zombie; the agent reconnecting under its old
+                    # name replaces it (the rejoin path after a sever
+                    # the agent noticed before the coordinator did).
+                    self._drop(stale)
+                    break
+                worker_id = f"{base}~{bump}"
+                bump += 1
+            write_frame(stream, WorkerWelcome(worker=worker_id))
         except (ProtocolError, OSError):
             # Wrong version, garbage, or a vanished dialer: reject the
             # registration; never let it poison the worker table.
-            _reject()
-            return
-        base = hello.worker or f"w{self._seq}"
-        self._seq += 1
-        worker_id = base
-        bump = 1
-        while worker_id in self.workers:
-            stale = self.workers[worker_id]
-            if stale.suspect:
-                # The name's previous holder is a fenced-off zombie;
-                # the agent reconnecting under its old name replaces
-                # it (the rejoin path after a sever the agent noticed
-                # before the coordinator did).
-                self._drop(stale)
-                break
-            worker_id = f"{base}~{bump}"
-            bump += 1
-        try:
-            write_frame(stream, WorkerWelcome(worker=worker_id))
-        except OSError:
-            _reject()
+            _quietly(stream.close, conn.close)
             return
         if self._net_state is None:
             plan = active_fault_plan()
@@ -538,24 +406,19 @@ class SocketPool(WorkerPool):
         # Stop watching the socket: its frames stay buffered in the
         # kernel until the partition heals (re-registered in wait()),
         # so the select loop never spins on the unread data.
-        try:
-            self._selector.unregister(worker.sock)
-        except (KeyError, ValueError):
-            pass
+        self._unwatch(worker.sock)
 
     def submit(self, lease: Lease) -> None:
         idle = self._idle()
         if not idle:
             raise RuntimeError("no idle socket worker")
         worker = idle[0]
+        worker.lease = lease
         try:
             write_frame(worker.stream, lease)
         except (OSError, ValueError):
-            self._drop(worker)
-            self._queued.append(
-                PoolEvent("lost", lease.lease_id, worker.worker_id))
+            self._sever(worker, self._queued)
             return
-        worker.lease = lease
         worker.started = time.monotonic()
         worker.beat_acked = True
         worker.missed = 0
@@ -647,11 +510,7 @@ class SocketPool(WorkerPool):
             # read timeout all mean the same thing here: the worker is
             # gone -- and, if it held a lease, its lease with it.  (A
             # suspect's lease was already requeued at liveness loss.)
-            lease = worker.lease
-            self._drop(worker)
-            if lease is not None:
-                events.append(
-                    PoolEvent("lost", lease.lease_id, worker.worker_id))
+            self._sever(worker, events)
             return
         if isinstance(message, HeartbeatAck):
             worker.beat_acked = True
@@ -678,14 +537,11 @@ class SocketPool(WorkerPool):
             events.append(PoolEvent(
                 "result", lease.lease_id, worker.worker_id,
                 status=message.status, value=message.value,
-                snapshot=message.snapshot, epoch=message.epoch))
+                snapshot=message.snapshot, epoch=message.epoch,
+                static_counts=message.static_counts))
             return
         # Anything else from a worker is out of protocol: sever it.
-        lease = worker.lease
-        self._drop(worker)
-        if lease is not None:
-            events.append(
-                PoolEvent("lost", lease.lease_id, worker.worker_id))
+        self._sever(worker, events)
 
     def _beat(self, now: float, events: List[PoolEvent]) -> None:
         """Send due liveness probes; declare silent workers lost.
@@ -722,27 +578,34 @@ class SocketPool(WorkerPool):
                     write_frame(worker.stream,
                                 Heartbeat(seq=self._beat_seq))
                 except (OSError, ValueError):
-                    lease = worker.lease
-                    self._drop(worker)
-                    events.append(PoolEvent(
-                        "lost", lease.lease_id, worker.worker_id))
+                    self._sever(worker, events)
                     continue
             worker.beat_acked = False
             worker.next_beat = now + self.heartbeat_s
 
     # -- teardown -----------------------------------------------------
 
-    def _drop(self, worker: _SocketWorker) -> None:
-        self.workers.pop(worker.worker_id, None)
+    def _unwatch(self, sock: socket.socket) -> None:
         try:
-            self._selector.unregister(worker.sock)
+            self._selector.unregister(sock)
         except (KeyError, ValueError):
             pass
-        for closer in (worker.stream.close, worker.sock.close):
-            try:
-                closer()
-            except OSError:
-                pass
+
+    def _drop(self, worker: _SocketWorker) -> None:
+        self.workers.pop(worker.worker_id, None)
+        self._unwatch(worker.sock)
+        # The buffered stream too: makefile() holds an io-ref on the
+        # fd, so closing the socket alone would leak it.
+        _quietly(worker.stream.close, worker.sock.close)
+
+    def _sever(self, worker: _SocketWorker,
+               events: List[PoolEvent]) -> None:
+        """Drop ``worker``; the lease it held, if any, is lost."""
+        lease = worker.lease
+        self._drop(worker)
+        if lease is not None:
+            events.append(
+                PoolEvent("lost", lease.lease_id, worker.worker_id))
 
     def abort(self) -> None:
         for worker in list(self.workers.values()):
@@ -770,17 +633,103 @@ class SocketPool(WorkerPool):
                     pass
             self._drop(worker)
         if self._listener is not None:
-            try:
-                self._selector.unregister(self._listener)
-            except (KeyError, ValueError):
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._unwatch(self._listener)
+            _quietly(self._listener.close)
             self._selector.close()
             self._listener = None
             self._selector = None
+
+
+class LocalProcessPool(SocketPool):
+    """A :class:`SocketPool` on localhost that supervises its agents.
+
+    ``jobs`` daemonic processes, ``local/0``.., run the worker agent
+    (:func:`repro.engine.worker.local_main`) and keep its caches (last
+    program, Cachegrind riders, compiled code) from lease to lease.
+    They are started at the first :meth:`start`.  The agent of an
+    ``expired`` or ``lost`` lease, or one whose connection closed
+    while idle, is terminated, joined -- never abandoned -- and
+    replaced under the same id.  :meth:`close` and :meth:`abort` shut
+    idle agents down, terminate busy ones and join them all.
+    """
+
+    kind = "local"
+    #: Seconds an idle agent gets to exit on ``Shutdown`` at close.
+    exit_s = 5.0
+
+    def __init__(self, jobs: int) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        super().__init__(min_workers=jobs)
+        self.jobs = jobs
+        #: slot name -> that slot's agent process
+        self._agents: Dict[str, Any] = {}
+        #: slots whose agent's lease expired or whose connection closed
+        self._gone: Set[str] = set()
+
+    @property
+    def capacity(self) -> int:
+        return self.jobs
+
+    def start(self) -> None:
+        self.bind()
+        for slot in range(self.jobs):
+            if f"local/{slot}" not in self._agents:
+                self._launch(f"local/{slot}")
+        super().start()
+
+    def _launch(self, name: str) -> None:
+        # Late import: ``python -m repro.engine.worker`` must not find
+        # the module already imported by this package.
+        from .worker import local_main
+        agent = multiprocessing.Process(target=local_main,
+                                        args=(*self.address, name),
+                                        name=name, daemon=True)
+        agent.start()
+        self._agents[name] = agent
+
+    def _replace(self, name: str) -> None:
+        """End slot ``name``'s agent; a fresh one registers in its place."""
+        agent = self._agents[name]
+        agent.terminate()
+        agent.join()
+        worker = self.workers.get(name)
+        if worker is not None:
+            self._drop(worker)
+        self._launch(name)
+
+    def _sever(self, worker: _SocketWorker,
+               events: List[PoolEvent]) -> None:
+        super()._sever(worker, events)
+        # A local agent exits with its connection, idle or not.
+        self._gone.add(worker.worker_id)
+
+    def wait(self, timeout: Optional[float] = None) -> List[PoolEvent]:
+        events = super().wait(timeout)
+        self._gone.update(event.worker for event in events
+                          if event.kind in ("expired", "lost"))
+        for name in self._gone & self._agents.keys():
+            self._replace(name)
+        self._gone.clear()
+        return events
+
+    def detach(self) -> None:
+        """Local agents never outlive their coordinator: a drained
+        sweep shuts them down like a finished one."""
+
+    def abort(self) -> None:
+        self.close()
+
+    def close(self) -> None:
+        idle = {worker.worker_id for worker in self.workers.values()
+                if worker.lease is None}
+        super().close()  # sends the idle agents a Shutdown
+        for name, agent in self._agents.items():
+            if name in idle:
+                agent.join(self.exit_s)
+            agent.terminate()  # a no-op once the agent has exited
+            agent.join()
+        self._agents.clear()
 
 
 def make_pool(jobs: int = 1,
@@ -789,8 +738,8 @@ def make_pool(jobs: int = 1,
 
     ``workers`` is the ``--workers`` spec ``[N@]HOST:PORT`` -- listen
     on HOST:PORT and wait for N agents (default 1).  Without it,
-    ``jobs`` picks the backend: ``1`` runs in-process, ``N > 1`` in N
-    local processes, and ``0`` in one local process per core.
+    ``jobs`` picks the backend: ``1`` runs in-process, ``N > 1`` on N
+    local agents, and ``0`` on one local agent per core.
     The socket pool's liveness knobs come from the environment
     (``UMI_HEARTBEAT_S``, ``UMI_LIVENESS_MISSES``) so chaos harnesses
     can tighten them without extra CLI surface.

@@ -4,12 +4,13 @@ The distributed execution stack (see the "Distributed execution"
 section of ``docs/ARCHITECTURE.md``) speaks exactly one wire language,
 defined here: versioned, JSON-serializable messages framed as JSON
 lines (one ``\\n``-terminated JSON object per message).  Every worker
-backend -- the dedicated local processes of
-:class:`~repro.engine.pools.LocalProcessPool`, the in-process test
-pool, and the socket-connected standalone agents of
-:mod:`repro.engine.worker` -- carries work as :class:`Lease` objects
-and reports it back as :class:`LeaseResult` objects, so the
-coordinator cannot observe *where* a lease ran.
+backend carries work as :class:`Lease` objects and reports it back as
+:class:`LeaseResult` objects, so the coordinator cannot observe
+*where* a lease ran.  The agents of :mod:`repro.engine.worker` speak
+it over TCP, whether a :class:`~repro.engine.pools.LocalProcessPool`
+forked them on localhost (``--jobs N``) or they were started by hand
+on other nodes (``--workers``); the in-process pool (``--jobs 1``)
+hands the same objects over without encoding them.
 
 Message flow::
 
@@ -57,7 +58,9 @@ from .spec import RunSpec
 #: mixed-build clusters fail loudly instead of corrupting sweeps.
 #: v2: heartbeat/heartbeat_ack liveness frames; fencing ``epoch`` on
 #: Lease and LeaseResult.
-PROTOCOL_VERSION = 2
+#: v3: ``static_counts`` on LeaseResult, so the coordinator renders
+#: without building the programs its workers ran.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's size; a larger line means a corrupt or
 #: hostile peer, not a bigger result.
@@ -138,8 +141,8 @@ class Lease:
             deadline_s=deadline_s, fault_plan=fault_plan,
             telemetry=telemetry,
         )
-        # Not a field, so never on the wire: a worker in this process
-        # (or forked from it) runs the very specs, unrebuilt.
+        # Not a field, so never on the wire: the in-process pool runs
+        # the very specs, unrebuilt.
         object.__setattr__(lease, "_group", tuple(group))
         return lease
 
@@ -176,6 +179,16 @@ class LeaseResult:
     value: Any = None
     #: The worker's telemetry snapshot, or ``None`` when disabled.
     snapshot: Optional[Dict[str, Any]] = None
+    #: ``[workload, scale, static_loads, static_stores]`` of the
+    #: program the lease ran, as the worker recorded it when it built
+    #: the program (empty when no build happened, e.g. an injected
+    #: crash).  The coordinator records them, so rendering a table
+    #: never builds a program a worker already built.
+    static_counts: Tuple[Tuple[Any, ...], ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "static_counts",
+                           tuple(tuple(e) for e in self.static_counts))
 
 
 @dataclass(frozen=True)

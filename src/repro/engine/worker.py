@@ -4,7 +4,10 @@ Run on any node that can reach the coordinator::
 
     python -m repro.engine.worker --connect HOST:PORT
 
-(or the ``umi-worker`` console script).  The agent dials the
+(or the ``umi-worker`` console script).  ``--jobs N`` runs this same
+agent in N local processes
+(:class:`~repro.engine.pools.LocalProcessPool`), so it is the only
+code that runs a lease outside the coordinator.  The agent dials the
 coordinator's :class:`~repro.engine.pools.SocketPool` listener,
 registers with a :class:`~repro.engine.protocol.WorkerHello`, then
 serves one :class:`~repro.engine.protocol.Lease` at a time: rebuild
@@ -12,8 +15,9 @@ the fusion group from the leased spec dicts, install the lease's fault
 plan, run exactly one attempt through the shared execution seam
 (:func:`repro.engine.attempt.run_lease`), and stream the
 :class:`~repro.engine.protocol.LeaseResult` -- payloads or structured
-failure, plus a telemetry snapshot, echoing the lease's fencing epoch
--- back over the same connection.
+failure, plus a telemetry snapshot and the static counts of the
+program it ran, echoing the lease's fencing epoch -- back over the
+same connection.
 
 The agent is deliberately policy-free: it never retries, never
 interprets deadlines (an attempt that overruns is severed by the
@@ -57,7 +61,7 @@ from typing import Any, Optional, Tuple
 
 from repro.faults import NetFaultState, active_fault_plan, wrap_stream
 
-from .attempt import run_lease
+from .attempt import lease_static_counts, run_lease
 from .protocol import (
     ConnectionClosed, Heartbeat, HeartbeatAck, Lease, LeaseResult,
     ProtocolError, Shutdown, WorkerHello, WorkerWelcome, read_frame,
@@ -124,7 +128,7 @@ def _executor(lease: Lease, events: "queue.Queue") -> None:
             "traceback": None,
             "member": 0 if len(lease.specs) == 1 else None,
         }, None)
-    events.put(("done", (lease, result)))
+    events.put(("done", (lease, result, lease_static_counts(lease))))
 
 
 def _session(sock: socket.socket, name: str, net_state: NetFaultState,
@@ -188,7 +192,7 @@ def _session(sock: socket.socket, name: str, net_state: NetFaultState,
                         f"away")
                 return served, False, worker_id
             if kind == "done":
-                lease, (status, value, snapshot) = payload
+                lease, (status, value, snapshot), counts = payload
                 exec_thread = None
                 if busy is None or lease.lease_id != busy.lease_id:
                     continue  # abandoned while executing
@@ -197,7 +201,7 @@ def _session(sock: socket.socket, name: str, net_state: NetFaultState,
                     write_frame(stream, LeaseResult(
                         lease_id=lease.lease_id, worker=worker_id,
                         epoch=lease.epoch, status=status, value=value,
-                        snapshot=snapshot))
+                        snapshot=snapshot, static_counts=counts))
                 except (OSError, ValueError):
                     return served, False, worker_id
                 served += 1
@@ -292,6 +296,33 @@ def serve(host: str, port: int, name: str = "",
         time.sleep(rng.uniform(0.05, 0.2))
     say(f"[umi-worker] served {served} lease(s)")
     return served
+
+
+def local_main(host: str, port: int, name: str) -> None:
+    """Entry point of one ``--jobs N`` agent process.
+
+    :class:`~repro.engine.pools.LocalProcessPool` starts these; each
+    serves its coordinator until ``Shutdown`` or the first disconnect.
+    SIGTERM kills at once (it ends an expired lease; a forked agent
+    would otherwise inherit the coordinator's drain handler), Ctrl-C
+    is left to the coordinator, and the agent exits when its parent is
+    gone, however the parent died.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                     daemon=True).start()
+    serve(host, port, name=name, rejoin=False, log=None)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this process once ``parent`` is gone.  A killed coordinator
+    does not always close a connection an agent could notice: an agent
+    started mid-sweep holds the coordinator's ends of its siblings'
+    connections, and a busy agent waits its attempt out."""
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(1)
 
 
 def _sigterm_drain(_signum, _frame) -> None:

@@ -50,7 +50,8 @@ Distributed execution (the "Distributed execution" section of
 invocation into a lease coordinator -- it listens on ``HOST:PORT``,
 waits for ``N`` standalone ``umi-worker`` agents (``umi-worker
 --connect HOST:PORT``, any machine that can reach the coordinator),
-and leases fusion groups to them instead of forking local processes.
+and leases fusion groups to them instead of to the local agents
+``--jobs N`` starts.
 An agent that dies mid-lease is a crash fault: the lease requeues on a
 surviving agent through the ordinary ``--retries`` budget, and the
 sweep's results are byte-identical to a serial run's.  ``store fsck`` sweeps a store directory for corrupt, stale

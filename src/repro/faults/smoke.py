@@ -74,8 +74,11 @@ def _run(store_root: Path, jobs: int, faults: bool
         retry=RetryPolicy(max_attempts=RETRIES, sleep=lambda _s: None),
     )
     specs = _wavefront()
-    with fault_injection(_plan() if faults else None):
-        resolved = engine.run_many(specs)
+    try:
+        with fault_injection(_plan() if faults else None):
+            resolved = engine.run_many(specs)
+    finally:
+        engine.close()
     out: Dict[RunSpec, dict] = {}
     for spec, value in zip(specs, resolved):
         out[spec] = (value.to_payload() if isinstance(value, FailedRun)

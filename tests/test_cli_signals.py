@@ -3,8 +3,9 @@
 * A first SIGTERM drains: no new group starts and the one in flight
   runs to its end.  A second SIGTERM aborts that group at once, and
   ``--resume`` then finishes the sweep from the store.
-* A forked lease process inherits the CLI's SIGTERM handler, yet
-  terminating an expired lease still ends its process at once.
+* A forked ``--jobs N`` agent inherits the CLI's SIGTERM handler, yet
+  terminating the agent of an expired lease still ends it at once.
+* No agent outlives a coordinator that was killed outright.
 
 A ``hang`` fault plan stands in for a long group: it sleeps before the
 group runs, exactly where a signal must cut it short.
@@ -17,6 +18,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.engine import JOURNAL_NAME
 from repro.experiments import table2
@@ -95,3 +98,62 @@ def test_expired_lease_process_ends_when_terminated(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "[wavefront: 4 runs executed, 0 reused" in done.stdout
     assert time.monotonic() - start < 60
+
+
+def _live_children(pid):
+    """Pids of ``pid``'s children that have not exited (Linux /proc)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.append(int(entry))
+    return children
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_local_agents_do_not_outlive_a_killed_coordinator(tmp_path):
+    # Every attempt hangs past its deadline, so expired agents are
+    # replaced mid-sweep; then the coordinator is SIGKILLed.
+    plan = tmp_path / "hang.json"
+    plan.write_text(json.dumps({"seed": 0, "rules": [
+        {"kind": "hang", "match": "*", "attempts": 99,
+         "hang_seconds": 120}]}))
+    proc = subprocess.Popen(
+        _cli("table2", "--scale", str(SCALE), "--no-store", "--jobs", "2",
+             "--timeout", "1", "--retries", "9", "--faults", str(plan)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=_env())
+    agents = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(agents) < 3:  # two agents and a replacement
+            assert proc.poll() is None
+            assert time.monotonic() < deadline, "no agent was replaced"
+            agents.update(_live_children(proc.pid))
+            time.sleep(0.05)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in agents):
+            assert time.monotonic() < deadline, "an agent outlived it"
+            time.sleep(0.1)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in agents:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

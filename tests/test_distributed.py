@@ -15,15 +15,18 @@ import json
 import multiprocessing
 import os
 import select
+import signal
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.engine import (
     InProcessPool, LeaseExecutor, LeaseJournal, LocalProcessPool,
-    RetryPolicy, RunSpec, SocketPool, SpecExecutionError,
-    is_failed_payload, make_executor, make_pool, run_lease,
+    RetryPolicy, RunSpec, SocketPool, SpecExecutionError, attempt,
+    is_failed_payload, make_executor, make_pool, plan_groups, run_lease,
+    static_counts,
 )
 from repro.engine.protocol import (
     Heartbeat, HeartbeatAck, Lease, LeaseResult, Shutdown, WorkerHello,
@@ -31,6 +34,8 @@ from repro.engine.protocol import (
 )
 from repro.engine.worker import serve
 from repro.faults import FaultPlan, FaultRule, fault_injection
+from repro.telemetry import TELEMETRY
+from repro.workloads import get_workload
 
 SCALE = 0.1
 MACHINE_SCALE = 16
@@ -106,6 +111,11 @@ class TestInProcessPool:
         assert executor.worker_stats["inprocess/0"]["leases"] == 3
 
 
+def local_agents():
+    return [child for child in multiprocessing.active_children()
+            if child.name.startswith("local/")]
+
+
 class TestLocalProcessPool:
     def test_sweep_matches_serial_byte_identically(self):
         executor = make_executor(2)
@@ -115,6 +125,99 @@ class TestLocalProcessPool:
         stats = executor.worker_stats
         assert set(stats) <= {"local/0", "local/1"}
         assert sum(s["specs"] for s in stats.values()) == 3
+
+    def test_agents_keep_their_program_between_leases(self, monkeypatch):
+        # Four groups of one program on two long-lived agents: each
+        # agent builds it once and reuses it for its later leases.
+        monkeypatch.setattr(attempt, "_last_program", None)
+        specs = [native_spec(), native_spec(hw_prefetch=True),
+                 umi_spec(), umi_spec(hw_prefetch=True)]
+        groups = plan_groups(specs)
+        assert len(groups) == 4
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            executor = make_executor(2)
+            executor.execute_groups(groups)
+            executor.close()
+            builds = TELEMETRY.registry.counter(
+                "workloads.program_builds").value
+            reuses = TELEMETRY.registry.counter(
+                "workloads.program_reuses").value
+        finally:
+            TELEMETRY.reset()
+            TELEMETRY.disable()
+        assert 1 <= builds <= 2
+        assert builds + reuses == 4
+
+    def test_static_counts_come_home(self, monkeypatch):
+        # The coordinator records the counts its agents built, so
+        # rendering builds nothing here.
+        monkeypatch.setattr(attempt, "_last_program", None)
+        monkeypatch.setattr(attempt, "_static_counts", {})
+        executor = make_executor(2)
+        executor.execute([native_spec()])
+        executor.close()
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            counts = static_counts("181.mcf", SCALE)
+            builds = TELEMETRY.registry.counter(
+                "workloads.program_builds").value
+        finally:
+            TELEMETRY.reset()
+            TELEMETRY.disable()
+        assert builds == 0
+        program = get_workload("181.mcf").build(SCALE)
+        assert counts == (program.static_loads(), program.static_stores())
+
+    def test_expired_agent_is_replaced_under_its_slot_id(self):
+        # One agent; the first attempt hangs past its deadline.  The
+        # agent is killed and a fresh one registers as local/0 and
+        # runs the retry.
+        pool = LocalProcessPool(1)
+        pool.start()
+        first_pid = pool.workers["local/0"].pid
+        executor = LeaseExecutor(pool, retry=RetryPolicy(
+            max_attempts=2, timeout=0.5, **NO_BACKOFF))
+        plan = FaultPlan(seed=1, rules=(
+            FaultRule(kind="hang", match="*", attempts=1,
+                      hang_seconds=30.0),))
+        try:
+            with fault_injection(plan):
+                payloads = executor.execute([native_spec()])
+            second_pid = pool.workers["local/0"].pid
+            alive = {child.pid for child in local_agents()}
+        finally:
+            executor.close()
+        assert payloads[0]["kind"] == "run_outcome"
+        assert second_pid != first_pid
+        assert first_pid not in alive and second_pid in alive
+        stats = executor.worker_stats["local/0"]
+        assert stats["timeouts"] == 1 and stats["leases"] == 1
+
+    def test_agent_that_died_idle_is_replaced(self):
+        pool = LocalProcessPool(1)
+        pool.start()
+        first_pid = pool.workers["local/0"].pid
+        os.kill(first_pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        try:
+            while pool.workers.get("local/0") is None \
+                    or pool.workers["local/0"].pid == first_pid:
+                assert time.monotonic() < deadline
+                assert pool.wait(timeout=0.1) == []
+        finally:
+            pool.close()
+
+    def test_agents_fork_at_start_and_end_at_close(self):
+        executor = make_executor(2)
+        assert not local_agents()  # nothing forked before a sweep
+        executor.execute([native_spec()])
+        assert sorted(a.name for a in local_agents()) \
+            == ["local/0", "local/1"]
+        executor.close()
+        assert not multiprocessing.active_children()
 
 
 class TestSocketPool:

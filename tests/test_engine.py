@@ -140,7 +140,9 @@ class TestDeterminism:
     def test_parallel_executor_matches_serial(self):
         specs = [native_spec(), native_spec(hw_prefetch=True), umi_spec()]
         serial = make_executor(1).execute(specs)
-        parallel = make_executor(2).execute(specs)
+        executor = make_executor(2)
+        parallel = executor.execute(specs)
+        executor.close()
         assert serial == parallel  # full payloads, deterministic order
 
     def test_payload_is_json_stable(self):
@@ -277,7 +279,9 @@ class TestExecutionEngine:
     def test_parallel_engine_matches_serial_engine(self):
         specs = [native_spec(), umi_spec(sampling=False)]
         serial = ExecutionEngine(jobs=1).run_many(specs)
-        parallel = ExecutionEngine(jobs=2).run_many(specs)
+        engine = ExecutionEngine(jobs=2)
+        parallel = engine.run_many(specs)
+        engine.close()
         for s, p in zip(serial, parallel):
             assert s.cycles == p.cycles
             assert s.steps == p.steps

@@ -329,6 +329,7 @@ class TestFaultDeterminism:
         with fault_injection(plan):
             results = ex.execute_groups(
                 [[native_spec()], [native_spec(OTHER)]])
+        ex.close()
         return results, {
             "retries": counter("executor.retries"),
             "timeouts": counter("executor.timeouts"),
@@ -385,27 +386,43 @@ class TestFaultDeterminism:
                               strict=False)
         with fault_injection(plan):
             results = ex.execute_groups([[s] for s in specs])
+        ex.close()
         assert counter("executor.timeouts") == 0
         assert all(p[0]["kind"] == "run_outcome" for p in results)
         assert ex.runs_executed == 4 and ex.runs_failed == 0
 
     def test_expired_worker_is_killed_not_abandoned(self):
         # Two groups hanging far past the deadline: expiring workers
-        # are terminated, so retries get fresh slots and the wavefront
+        # are terminated, so retries get fresh agents and the wavefront
         # ends in about attempts * timeout -- not after the hangs run
-        # their course -- and no worker process outlives the call.
+        # their course.  Every agent that held an expired lease is
+        # dead when the call returns; the replacements end at close().
         plan = FaultPlan(seed=1, rules=(
             FaultRule(kind="hang", match="*", attempts=99,
                       hang_seconds=8.0),))
         ex = make_executor(2, retry=policy(attempts=2,
                                                    timeout=0.4),
                               strict=False)
+        leased_pids = []
+        submit = ex.pool.submit
+
+        def recording_submit(lease):
+            submit(lease)
+            leased_pids.extend(worker.pid
+                               for worker in ex.pool.workers.values()
+                               if worker.lease is lease)
+
+        ex.pool.submit = recording_submit
         start = time.monotonic()
         with fault_injection(plan):
             results = ex.execute_groups([[native_spec()],
                                          [native_spec(OTHER)]])
         assert time.monotonic() - start < 4.0
         assert all(p[0]["reason"] == "timeout" for p in results)
+        assert len(leased_pids) == 4
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert not alive & set(leased_pids)
+        ex.close()
         assert not multiprocessing.active_children()
 
     def test_failed_run_round_trips(self):
@@ -673,6 +690,7 @@ class TestInterrupts:
         with pytest.raises(KeyboardInterrupt):
             ex.execute_groups([[native_spec()], [native_spec(OTHER)]],
                               on_result=on_result)
+        ex.close()
         assert ex.last_interrupt is not None
         assert ex.last_interrupt.total == 2
         assert ex.last_interrupt.completed >= 1
@@ -784,6 +802,7 @@ class TestAcceptanceWavefront:
                               strict=False)
         with fault_injection(plan):
             chaos = ex.execute_groups(groups)
+        ex.close()
 
         crashed, timed_out = chaos[0][0], chaos[1][0]
         assert is_failed_payload(crashed) and crashed["reason"] == "error"

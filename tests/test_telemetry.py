@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.engine import (
-    ExecutionEngine, ResultStore, RunSpec, SpecExecutionError,
+    ExecutionEngine, ResultStore, RunSpec, SpecExecutionError, attempt,
     make_executor,
 )
 from repro.serialize import SCHEMA_VERSION
@@ -30,6 +30,7 @@ from repro.telemetry import (
     write_events_jsonl, write_telemetry_dir,
 )
 from repro.telemetry.summary import overview_table, peak_rss_mb
+from repro.vm import compiler
 
 SCALE = 0.1
 MACHINE_SCALE = 16
@@ -183,29 +184,74 @@ class TestRegistry:
         assert fresh.snapshot() == a.snapshot()
 
 
+#: Counters of the per-process caches whose sum is fixed by the specs
+#: (each group asks each cache once) but whose split into builds and
+#: reuses depends on which process ran which group.
+CACHE_TOTALS = (
+    ("workloads.program_builds", "workloads.program_reuses"),
+    ("fullsim.cachegrind_runs", "fullsim.cachegrind_reuses"),
+)
+
+#: Compiled-code cache misses: each worker compiles what its own groups
+#: need, so a parallel run makes at least the serial count and at most
+#: that count per worker.  ``vm.compile_s`` is a time.
+COMPILE_COUNTERS = ("vm.block_compiles", "vm.templates_compiled")
+
+
+def fresh_process_caches(monkeypatch):
+    """Empty this process's program, static-count and compiled-code
+    caches; workers forked afterwards start from them too."""
+    monkeypatch.setattr(attempt, "_last_program", None)
+    monkeypatch.setattr(attempt, "_static_counts", {})
+    monkeypatch.setattr(compiler, "_CODE_CACHE", {})
+    monkeypatch.setattr(compiler, "_TEMPLATES", {})
+
+
 class TestParallelMergeEqualsSerial:
     def test_worker_metrics_merge_deterministically(self,
-                                                    global_telemetry):
+                                                    global_telemetry,
+                                                    monkeypatch):
         specs = [native_spec(), umi_spec()]
         global_telemetry.enable()
+        fresh_process_caches(monkeypatch)
         make_executor(1).execute(specs)
         serial = global_telemetry.snapshot()
 
         global_telemetry.reset()
+        fresh_process_caches(monkeypatch)
         executor = make_executor(2)
         executor.execute(specs)
+        executor.close()
         parallel = global_telemetry.snapshot()
 
         assert executor.runs_executed == 2
         # The pool.* namespace attributes leases to worker ids -- it is
-        # deliberately backend-specific (a serial run has no workers),
-        # so the serial==parallel contract covers everything else.
-        drop_pool = lambda counters: {
+        # deliberately backend-specific (a serial run has no workers) --
+        # and the cache counters split by placement, so the
+        # serial==parallel contract covers everything else, plus the
+        # cache totals.
+        placed = {name for names in CACHE_TOTALS for name in names} \
+            | set(COMPILE_COUNTERS) | {"vm.compile_s"}
+        placement_free = lambda counters: {
             key: value for key, value in counters.items()
-            if not key[0].startswith("pool.")
+            if not key[0].startswith("pool.") and key[0] not in placed
         }
-        assert drop_pool(counter_values(parallel)) \
-            == drop_pool(counter_values(serial))
+        total = lambda counters, names: sum(
+            value for (name, _), value in counters.items()
+            if name in names)
+        serial_counts = counter_values(serial)
+        parallel_counts = counter_values(parallel)
+        assert placement_free(parallel_counts) \
+            == placement_free(serial_counts)
+        assert total(serial_counts, {"workloads.program_builds"}) == 1
+        for names in CACHE_TOTALS:
+            assert total(parallel_counts, names) \
+                == total(serial_counts, names)
+        for name in COMPILE_COUNTERS:
+            compiled = total(serial_counts, {name})
+            assert compiled > 0
+            assert compiled <= total(parallel_counts, {name}) \
+                <= 2 * compiled
         assert timer_counts(parallel) == timer_counts(serial)
         # Same events in the same (submission) order, modulo timings
         # and the worker source tag.
@@ -373,6 +419,7 @@ class TestExecutorFailures:
         executor = make_executor(2)
         with pytest.raises(SpecExecutionError) as excinfo:
             executor.execute([bad, good])
+        executor.close()
         assert bad.digest()[:12] in str(excinfo.value)
         assert "no-such-workload" in str(excinfo.value)
         assert excinfo.value.spec == bad

@@ -164,5 +164,7 @@ class TestExecutorDeterminism:
             RunSpec.native("gen:ptrgraph:s0", 0.05, "pentium4", 16),
         ]
         serial = make_executor(1).execute(specs)
-        parallel = make_executor(2).execute(specs)
+        executor = make_executor(2)
+        parallel = executor.execute(specs)
+        executor.close()
         assert serial == parallel
