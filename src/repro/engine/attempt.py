@@ -25,7 +25,8 @@ The second is the finished Cachegrind rider of each cache geometry that
 program ran on (:func:`execute_group`): the rider models no timing,
 prefetching or instruction fetch, so every later group of the program
 on that geometry reuses it instead of simulating the same references
-again.  The riders are dropped with their program.  Every build also
+again.  The riders are dropped with their program, and so is the
+program's compiled code (:mod:`repro.vm.interpreter`).  Every build also
 records the program's static load/store counts (:func:`static_counts`),
 which is all the tables read from a program; a worker sends them home
 with each lease result (:func:`lease_static_counts`), so rendering
@@ -186,8 +187,11 @@ def execute_group(group: Sequence[RunSpec]) -> List[RunOutcome]:
                 outcome.cachegrind = kept
         get_telemetry().count("fullsim.cachegrind_reuses")
     elif any(wants):
-        # run_fused returned, so the rider saw the whole run.
-        riders[geometry] = outcomes[wants.index(True)].cachegrind
+        # run_fused returned, so the rider saw the whole run; settled,
+        # it keeps counters rather than the run's columns.
+        rider = outcomes[wants.index(True)].cachegrind
+        rider.settle()
+        riders[geometry] = rider
     return outcomes
 
 

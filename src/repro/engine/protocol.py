@@ -48,7 +48,7 @@ mid-message), and a clean EOF between frames raises the distinguished
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from .spec import RunSpec
@@ -238,9 +238,13 @@ MESSAGE_TYPES: Dict[str, Type] = {
 
 
 def encode_frame(message: Any) -> bytes:
-    """One message as a version-stamped JSON line."""
-    payload = {"v": PROTOCOL_VERSION, "type": message.TYPE}
-    payload.update(asdict(message))
+    """One message as a version-stamped JSON line.
+
+    The frame holds the message's field values themselves, not copies:
+    every field is JSON-safe already, so ``json.dumps`` walks each
+    payload once."""
+    payload = {f.name: getattr(message, f.name) for f in fields(message)}
+    payload.update(v=PROTOCOL_VERSION, type=message.TYPE)
     return json.dumps(payload, sort_keys=True).encode() + b"\n"
 
 

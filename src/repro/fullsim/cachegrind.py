@@ -279,12 +279,18 @@ class CachegrindSimulator(RefConsumer):
             self._store_view = view
         return view
 
-    def __getstate__(self):
-        # Settle the buffer before pickling (e.g. shipping a RunOutcome
-        # back from a worker process); fold so the payload carries
-        # counters, not raw columns.
+    def settle(self) -> None:
+        """Replay buffered cells and fold the queued accounting columns
+        into the per-pc counters, so the simulator holds counters, not
+        raw columns: call it before keeping or shipping a finished
+        simulator."""
         self._drain()
         self._fold_refs()
+
+    def __getstate__(self):
+        # Settle before pickling (e.g. shipping a RunOutcome back from a
+        # worker process), so the payload carries counters.
+        self.settle()
         return self.__dict__
 
     # -- standalone driving ------------------------------------------------------

@@ -1,12 +1,12 @@
 """The block compiler: decoded basic blocks to straight-line Python.
 
-:func:`compile_block` turns one basic block into the code object of a
-zero-argument function that executes the block and returns the next
-label.  The block is first decoded into a hashable value
-(:func:`decode_block`); each value gets one code object per process per
-block label, cached, so the many interpreters a sweep builds for the
-same program share every code object.  The code is named after the
-label, so a profiler shows each block as its own row.
+:func:`compile_block` builds the code object of a zero-argument function
+that executes one basic block and returns the next label: it decodes
+the block (:func:`decode_block`), fills its shape's template and names
+the result after the block (``co_name``) and its program
+(``co_filename`` ``<program name>``), so a profiler shows each block
+of each program as its own row.  It keeps nothing; each program keeps
+its own code (:class:`repro.vm.interpreter.Interpreter`).
 
 Code objects are built from **templates**, one per block shape.
 :func:`_block_source` writes a block's source with every operand --
@@ -97,8 +97,7 @@ def decode_block(block, cost_model: CostModel, models_ifetch: bool) -> tuple:
 
     Each instruction becomes a tuple of its opcode, pre-resolved base
     cost and operand fields; ``code lines`` is ``None`` unless the
-    memory system has an instruction cache.  The value is hashable and
-    is the key of the process-wide code cache.
+    memory system has an instruction cache.
     """
     ops = []
     for ins in block.instructions:
@@ -160,33 +159,16 @@ _ALU_OPERATORS = {ADD: "+", SUB: "-", MUL: "*", AND: "&", OR: "|", XOR: "^"}
 _CC_OPERATORS = {CC_EQ: "==", CC_NE: "!=", CC_LT: "<", CC_LE: "<=",
                  CC_GT: ">"}  # anything else is CC_GE
 
-#: Decoded block value extended by the block's label -> compiled code
-#: object named after the label, shared by every interpreter in the
-#: process.  The label is part of the key so that binding a block stays
-#: one probe; it extends the value rather than wrapping it, so a key
-#: costs no extra tuple.
-_CODE_CACHE: Dict[tuple, CodeType] = {}
-
-#: Entries kept before the oldest is dropped.  An entry with its key
-#: takes about 4.5 KB (4.49 KiB over the 1,088 distinct blocks of the
-#: paper programs at scale 0.1, with ifetch lanes and their 56 shared
-#: templates, measured with tracemalloc; each code object keeps its own
-#: bytecode); the paper wavefront makes ~1,450 code objects, and a sweep
-#: over the whole catalog would otherwise keep tens of MB alive in a
-#: long-lived worker.
-CODE_CACHE_LIMIT = 4096
-
 #: Template text -> (template code object, the ``co_consts`` index of
 #: each placeholder).  Blocks of one shape share an entry.
 _TEMPLATES: Dict[str, Tuple[CodeType, Tuple[int, ...]]] = {}
 
 #: Templates kept before the oldest is dropped.  The paper wavefront's
-#: ~1,450 code objects come from 59 templates.
+#: ~1,500 code objects come from 59 templates.
 TEMPLATE_CACHE_LIMIT = 512
 
-# Serializes insertion and eviction in both caches; lookups need no
-# lock.
-_CODE_CACHE_LOCK = threading.Lock()
+# Serializes template insertion and eviction; lookups need no lock.
+_TEMPLATE_LOCK = threading.Lock()
 
 #: Int placeholder ``n`` is ``_INT_HOLE + n``: above every mask, cost
 #: and small int a template holds, so it collides with no constant.
@@ -475,40 +457,33 @@ def _template(text: str, values: list) -> Tuple[CodeType, Tuple[int, ...]]:
                     if type(const) is CodeType)
         entry = code, _hole_slots(text, code, values)
         get_telemetry().count("vm.templates_compiled")
-        with _CODE_CACHE_LOCK:
+        with _TEMPLATE_LOCK:
             if len(_TEMPLATES) >= TEMPLATE_CACHE_LIMIT:
                 del _TEMPLATES[next(iter(_TEMPLATES))]
             _TEMPLATES[text] = entry
     return entry
 
 
-def compile_block(block, cost_model: CostModel,
+def compile_block(program, label: str, cost_model: CostModel,
                   models_ifetch: bool) -> CodeType:
-    """The code object of one basic block, named after its label
-    (cached per process).
+    """A new code object for block ``label`` of ``program``, named
+    after the label and the program.
 
-    A miss fills its shape's template with the block's operands: the
-    template's ``co_consts`` with each placeholder replaced by its
-    value.  The ``vm.block_compiles`` and ``vm.compile_s`` telemetry
-    counters count the misses and their seconds.
+    Fills the block's shape template with its operands: the template's
+    ``co_consts`` with each placeholder replaced by its value.  Every
+    call builds; the ``vm.block_compiles`` and ``vm.compile_s``
+    telemetry counters count the calls and their seconds.
     """
     start = perf_counter()
-    decoded = decode_block(block, cost_model, models_ifetch)
-    key = (*decoded, block.label)
-    code = _CODE_CACHE.get(key)
-    if code is None:
-        text, values = _block_source(*decoded)
-        template, slots = _template(text, values)
-        consts = list(template.co_consts)
-        for slot, value in zip(slots, values):
-            consts[slot] = value
-        code = template.replace(co_consts=tuple(consts),
-                                co_name=block.label)
-        with _CODE_CACHE_LOCK:
-            if len(_CODE_CACHE) >= CODE_CACHE_LIMIT:
-                del _CODE_CACHE[next(iter(_CODE_CACHE))]
-            _CODE_CACHE[key] = code
-        telemetry = get_telemetry()
-        telemetry.count("vm.block_compiles")
-        telemetry.count("vm.compile_s", perf_counter() - start)
+    text, values = _block_source(
+        *decode_block(program.blocks[label], cost_model, models_ifetch))
+    template, slots = _template(text, values)
+    consts = list(template.co_consts)
+    for slot, value in zip(slots, values):
+        consts[slot] = value
+    code = template.replace(co_consts=tuple(consts), co_name=label,
+                            co_filename=f"<{program.name}>")
+    telemetry = get_telemetry()
+    telemetry.count("vm.block_compiles")
+    telemetry.count("vm.compile_s", perf_counter() - start)
     return code

@@ -9,8 +9,10 @@ consumes.
 
 Like DynamoRIO's code cache, each block is translated once and then
 run directly: its first execution compiles it into one straight-line
-Python function (:mod:`repro.vm.compiler`, whose code objects are
-shared process-wide).  Each interpreter binds that code to its own
+Python function (:mod:`repro.vm.compiler`).  The code lives with its
+program: one ``label -> code`` map per program, cost model and ifetch
+setting, shared by every interpreter of the program and freed with
+it.  Each interpreter binds that code to its own
 globals -- registers, memory, the memory system's ``access``/``fetch``,
 the stream's column appends and an :class:`InstrumentationContext` --
 built at construction, so hooks installed on the memory system's class
@@ -34,7 +36,8 @@ the behavioural contract.
 from __future__ import annotations
 
 import builtins
-from types import FunctionType
+import weakref
+from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional
 
 from repro.isa import Program
@@ -55,6 +58,11 @@ INDIRECT_TERMINATORS = frozenset({SWITCH, RET})
 
 #: The closed instruction lane's probe: it finds no line.
 _NO_LINES: Dict[int, int] = {}
+
+#: Program -> ``{(cost model, models_ifetch): {label: code object}}``:
+#: the compiled blocks of each live program, shared by its interpreters
+#: and dropped with it.
+_CODE_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class ExecutionLimitExceeded(Exception):
@@ -107,6 +115,8 @@ class Interpreter:
         # instruction cache (FlatMemory and bare caches do not).
         self._models_ifetch = bool(getattr(memsys, "models_ifetch", False))
         self._env = self._environment()
+        self._codes: Dict[str, CodeType] = _CODE_MAPS.setdefault(
+            program, {}).setdefault((cost_model, self._models_ifetch), {})
         # Compiled block functions, bound lazily on first execution.
         self._functions: Dict[str, Callable[[], Optional[str]]] = {}
 
@@ -216,12 +226,15 @@ class Interpreter:
         """
         fn = self._functions.get(label)
         if fn is None:
-            # The compiler loads on first execution, so a process that
-            # only plans runs never imports it.
-            from .compiler import compile_block
+            code = self._codes.get(label)
+            if code is None:
+                # The compiler loads on first execution, so a process
+                # that only plans runs never imports it.
+                from .compiler import compile_block
 
-            code = compile_block(self.program.blocks[label],
-                                 self.cost_model, self._models_ifetch)
+                code = self._codes.setdefault(label, compile_block(
+                    self.program, label, self.cost_model,
+                    self._models_ifetch))
             fn = FunctionType(code, self._env, label)
             self._functions[label] = fn
         return fn

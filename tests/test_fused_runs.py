@@ -386,6 +386,19 @@ class TestCachegrindReuse:
         execute_spec_payload(other)
         assert len(built) == 2
 
+    def test_kept_rider_is_settled(self, built):
+        """A rider is drained and folded before it is kept: it holds
+        per-pc counters, not the run's raw columns, and reads as the
+        offline simulation."""
+        attempt.execute_group([self.UMI])
+        machine = get_machine("pentium4", MACHINE_SCALE)
+        kept = attempt._last_program[2][(machine.l1, machine.l2)]
+        assert kept._pending == [] and kept._pending_cells == 0
+        offline = run_cachegrind(build("181.mcf"), machine)
+        assert kept.summary() == offline.summary()
+        assert kept.pc_load_misses() == offline.pc_load_misses()
+        assert kept.load_stats == offline.load_stats
+
     def test_rider_never_outlives_its_program(self, built):
         execute_spec_payload(self.UMI)
         rider = weakref.ref(built.pop())

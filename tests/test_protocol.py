@@ -10,17 +10,20 @@ round-trip that lets a worker rebuild its work from the frame alone.
 
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import RunSpec
+from repro.engine.attempt import execute_spec_payload
 from repro.engine.protocol import (
     MAX_FRAME_BYTES, MESSAGE_TYPES, PROTOCOL_VERSION, ConnectionClosed,
     Heartbeat, HeartbeatAck, Lease, LeaseResult, ProtocolError,
     Shutdown, WorkerHello, WorkerWelcome, decode_frame, encode_frame,
     read_frame, write_frame,
 )
+from repro.telemetry import Telemetry
 
 SCALE = 0.1
 MACHINE_SCALE = 16
@@ -53,6 +56,30 @@ class TestFraming:
     def test_every_message_type_round_trips(self):
         for message in sample_messages():
             assert decode_frame(encode_frame(message)) == message
+
+    def test_frames_match_the_deep_copied_form(self):
+        """A frame carries each field's value as it is, and encodes to
+        exactly the bytes of the message's ``dataclasses.asdict``
+        (deep-copied) form."""
+        telemetry = Telemetry(enabled=True)
+        telemetry.count("vm.block_compiles", 3)
+        telemetry.observe("executor.spec_s", 0.25, {"mode": "native"})
+        with telemetry.span("executor.spec", {"workload": "mst"},
+                            maxrss_kib=1024):
+            telemetry.event("store.miss", digest="ab" * 8)
+        spec = RunSpec.native("mst", 0.05, "pentium4", MACHINE_SCALE,
+                              with_cachegrind=True,
+                              counter_sample_size=100)
+        payload = execute_spec_payload(spec)
+        result = LeaseResult(lease_id="L000002", worker="local/0",
+                             epoch=5, value=[payload, payload],
+                             snapshot=telemetry.snapshot(),
+                             static_counts=(("mst", 0.05, 12, 7),))
+        for message in sample_messages() + [result]:
+            deep = {"v": PROTOCOL_VERSION, "type": message.TYPE,
+                    **asdict(message)}
+            assert encode_frame(message) \
+                == json.dumps(deep, sort_keys=True).encode() + b"\n"
 
     def test_frames_are_newline_terminated_json(self):
         frame = encode_frame(WorkerHello(worker="a"))

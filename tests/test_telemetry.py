@@ -199,11 +199,11 @@ COMPILE_COUNTERS = ("vm.block_compiles", "vm.templates_compiled")
 
 
 def fresh_process_caches(monkeypatch):
-    """Empty this process's program, static-count and compiled-code
-    caches; workers forked afterwards start from them too."""
+    """Empty this process's program (with its compiled code),
+    static-count and template caches; workers forked afterwards start
+    from them too."""
     monkeypatch.setattr(attempt, "_last_program", None)
     monkeypatch.setattr(attempt, "_static_counts", {})
-    monkeypatch.setattr(compiler, "_CODE_CACHE", {})
     monkeypatch.setattr(compiler, "_TEMPLATES", {})
 
 
@@ -545,19 +545,23 @@ class TestCLITelemetry:
 
     def test_overview_counts_block_compiles(self, tmp_path, capsys,
                                             global_telemetry, monkeypatch):
-        # From empty caches, table2 makes a code object per distinct
-        # block and compiles one template per block shape.
-        import repro.vm.compiler as compiler
+        # From empty caches, table2 makes a code object per block of
+        # its one program that runs and compiles one template per
+        # block shape.
+        from repro.engine import attempt
         from repro.experiments.cli import main
         from repro.telemetry.export import load_telemetry_dir
-        monkeypatch.setattr(compiler, "_CODE_CACHE", {})
+        from repro.vm.interpreter import _CODE_MAPS
+        monkeypatch.setattr(attempt, "_last_program", None)
         monkeypatch.setattr(compiler, "_TEMPLATES", {})
         directory = tmp_path / "telemetry"
         assert main(["table2", "--scale", "0.1", "--no-store",
                      "--telemetry", str(directory)]) == 0
         capsys.readouterr()
         rows = dict(overview_table(*load_telemetry_dir(directory)).rows)
-        assert rows["code objects made"] == len(compiler._CODE_CACHE)
+        program = attempt._last_program[1]
+        assert rows["code objects made"] == sum(
+            len(codes) for codes in _CODE_MAPS[program].values())
         assert rows["templates compiled"] == len(compiler._TEMPLATES)
         assert rows["code objects made"] > rows["templates compiled"] > 0
         assert float(rows["compile seconds"]) > 0.0

@@ -13,7 +13,8 @@ These tests pin that contract:
   :class:`~repro.vm.reference.ReferenceInterpreter`;
 * every block of every registered program compiles without a warning;
 * a template whose placeholder the compiler folded away raises;
-* the template cache is bounded, also under concurrent compiles.
+* the template cache is bounded, also under concurrent compiles, and
+  concurrent interpreters of one program share its code.
 """
 
 import sys
@@ -27,6 +28,7 @@ from repro.isa import ADD, AND, CC_LT, DIV, MOD, MUL, OR, SHL, SHR, SUB
 from repro.memory.flat import FlatMemory
 from repro.vm import DEFAULT_COST_MODEL, Interpreter
 from repro.vm.compiler import compile_block, decode_block
+from repro.vm.interpreter import _CODE_MAPS
 from repro.vm.reference import ReferenceInterpreter
 from repro.workloads import GROUPS, all_workloads
 
@@ -35,9 +37,8 @@ from test_vm_differential import BASE, build_program, run_one
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty code and template caches, and a count of ``compile()``
-    calls the compiler makes."""
-    monkeypatch.setattr(compiler, "_CODE_CACHE", {})
+    """An empty template cache, and a count of ``compile()`` calls the
+    compiler makes."""
     monkeypatch.setattr(compiler, "_TEMPLATES", {})
     calls = []
 
@@ -68,8 +69,8 @@ def test_same_shape_blocks_share_one_compile(fresh_caches):
         regs = _both(program)["regs"]
         assert regs[0] == imm & compiler._U64_MASK
         assert regs[1] == (regs[BASE] + imm) & compiler._U64_MASK
-        codes.append(compile_block(program.blocks["b0"],
-                                   DEFAULT_COST_MODEL, True))
+        codes.append(compile_block(program, "b0", DEFAULT_COST_MODEL,
+                                   True))
         compiles.append(len(fresh_caches))
     assert 0 < compiles[0] == compiles[1] == len(compiler._TEMPLATES)
     assert codes[0] is not codes[1]
@@ -144,9 +145,10 @@ def test_every_registered_block_compiles_without_warnings(fresh_caches):
         warnings.simplefilter("error")
         for spec in all_workloads(list(GROUPS)):
             program = spec.build(0.05)
-            for block in program.blocks.values():
+            for label in program.blocks:
                 for models_ifetch in (False, True):
-                    compile_block(block, DEFAULT_COST_MODEL, models_ifetch)
+                    compile_block(program, label, DEFAULT_COST_MODEL,
+                                  models_ifetch)
                     blocks += 1
     # Operands are placeholders, so shapes are few: 101 for 2,716
     # compiles when this was written.
@@ -180,10 +182,11 @@ def test_template_cache_is_bounded(fresh_caches, monkeypatch):
 
 def test_concurrent_compiles_give_every_block_its_operands(fresh_caches,
                                                            monkeypatch):
-    """Threads compiling same-shape blocks through tiny, evicting
-    caches each get code carrying their own block's operands."""
+    """Threads compiling same-shape blocks through a tiny, evicting
+    template cache each get code carrying their own block's operands,
+    and every interpreter of a program runs that program's one code
+    object."""
     monkeypatch.setattr(compiler, "TEMPLATE_CACHE_LIMIT", 2)
-    monkeypatch.setattr(compiler, "CODE_CACHE_LIMIT", 4)
     programs = [build_program([([("alu_imm", aluop, 0, imm),
                                  ("mov_imm", 1, imm)], ("halt",))])
                 for aluop in (ADD, SUB, MUL, AND, OR)
@@ -191,6 +194,7 @@ def test_concurrent_compiles_give_every_block_its_operands(fresh_caches,
     expected = [run_one(ReferenceInterpreter, program, "flat", "none",
                         False, "native")["regs"] for program in programs]
     failures = []
+    codes = [set() for _ in programs]
 
     def worker(offset):
         try:
@@ -199,6 +203,7 @@ def test_concurrent_compiles_give_every_block_its_operands(fresh_caches,
                     i = (i + offset + round_) % len(programs)
                     interp = Interpreter(programs[i], FlatMemory())
                     interp.run_native()
+                    codes[i].add(interp.block_function("b0").__code__)
                     if list(interp.state.regs) != expected[i]:
                         failures.append(i)
         except Exception as exc:  # a thread's error fails the test
@@ -218,4 +223,5 @@ def test_concurrent_compiles_give_every_block_its_operands(fresh_caches,
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert len(compiler._TEMPLATES) <= 2
-    assert len(compiler._CODE_CACHE) <= 4
+    assert [len(c) for c in codes] == [1] * len(programs)
+    assert all(len(_CODE_MAPS[program]) == 1 for program in programs)

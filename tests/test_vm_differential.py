@@ -124,9 +124,9 @@ def _memory_operand(spec):
                else 1, disp=disp)
 
 
-def build_program(blocks):
+def build_program(blocks, name="diff"):
     """A program from generated blocks, plus a dead unknown-opcode block."""
-    b = ProgramBuilder("diff")
+    b = ProgramBuilder(name)
     buf = b.data.alloc("buf", BUFFER_BYTES + 128)
     for i in range(0, BUFFER_BYTES, 8):
         b.data.write_word(buf + i, (i * 0x9E3779B97F4A7C15) & 0xFFFF)
@@ -676,46 +676,58 @@ def test_real_workloads_match_reference(workload, mode, kwargs):
     assert compiled[1]["steps"] > 1000
 
 
-def test_code_cache_is_shared_and_bounded(monkeypatch):
-    """Interpreters share one code object per distinct block, and the
-    cache drops its oldest entries past its limit without changing
-    results."""
-    import repro.vm.compiler as compiler
-
-    monkeypatch.setattr(compiler, "_CODE_CACHE", {})
-    program = build_program([([("alu_imm", ADD, 0, 1)], ("halt",))])
+def test_interpreters_of_a_program_share_its_code():
+    """Every interpreter of a program binds the program's one code
+    object per block; another program with the same block gets its
+    own."""
+    body = [([("alu_imm", ADD, 0, 1)], ("halt",))]
+    program = build_program(body)
     first = Interpreter(program, FlatMemory())
     second = Interpreter(program, FlatMemory())
     assert (first.block_function("b0").__code__
             is second.block_function("b0").__code__)
-
-    monkeypatch.setattr(compiler, "CODE_CACHE_LIMIT", 2)
-    for imm in range(5):
-        program = build_program([([("alu_imm", ADD, 0, imm)], ("halt",))])
-        compiled = run_one(Interpreter, program, "flat", "none", False,
-                           "native")
-        reference = run_one(ReferenceInterpreter, program, "flat", "none",
-                            False, "native")
-        assert compiled == reference
-        assert compiled["regs"][0] == imm
-        assert len(compiler._CODE_CACHE) <= 2
+    other = Interpreter(build_program(body), FlatMemory())
+    assert (other.block_function("b0").__code__
+            is not first.block_function("b0").__code__)
 
 
-def test_compiled_blocks_are_named_after_their_labels(monkeypatch):
-    """Each block's code carries its label as ``co_name`` (so profilers
-    show one row per block); identical bodies under different labels
-    get their own code objects, and rebinding reuses the cached one."""
+def test_a_programs_code_goes_with_it():
+    """The compiled code lives in a map keyed weakly by its program:
+    dropping the program drops the map, and results stay those of the
+    reference."""
+    import gc
+    import weakref
+
+    from repro.vm.interpreter import _CODE_MAPS
+
+    program = build_program([([("alu_imm", ADD, 0, 5)], ("halt",))])
+    compiled = run_one(Interpreter, program, "flat", "none", False,
+                       "native")
+    assert compiled == run_one(ReferenceInterpreter, program, "flat",
+                               "none", False, "native")
+    alive = weakref.ref(program)
+    code = weakref.ref(_CODE_MAPS[program][(DEFAULT_COST_MODEL, False)]["b0"])
+    entries = len(_CODE_MAPS)
+    del program
+    gc.collect()
+    assert alive() is None and code() is None
+    assert len(_CODE_MAPS) < entries
+
+
+def test_compiled_blocks_are_named_after_their_labels():
+    """Each block's code carries its label as ``co_name`` and its
+    program as ``co_filename`` (so profilers show one row per block);
+    identical bodies under different labels get their own code objects,
+    and rebinding reuses the program's one."""
     import cProfile
     import pstats
 
-    import repro.vm.compiler as compiler
-
-    monkeypatch.setattr(compiler, "_CODE_CACHE", {})
     body = [("alu_imm", ADD, 0, 1)]
     program = build_program([(body, ("halt",)), (body, ("halt",))])
     interp = Interpreter(program, FlatMemory())
     b0, b1 = interp.block_function("b0"), interp.block_function("b1")
     assert (b0.__code__.co_name, b1.__code__.co_name) == ("b0", "b1")
+    assert b0.__code__.co_filename == "<diff>"
     assert b0.__code__.co_code == b1.__code__.co_code
     assert b0.__code__ is not b1.__code__
     assert (Interpreter(program, FlatMemory()).block_function("b0")
@@ -724,5 +736,22 @@ def test_compiled_blocks_are_named_after_their_labels(monkeypatch):
     profiler = cProfile.Profile()
     profiler.runcall(Interpreter(program, FlatMemory()).run_native)
     names = {name for filename, _, name in pstats.Stats(profiler).stats
-             if filename == "<compiled block>"}
+             if filename == "<diff>"}
     assert {"entry", "b0"} <= names
+
+
+def test_same_labelled_blocks_of_two_programs_profile_apart():
+    """pstats keys a function by ``(file, line, name)``: blocks of two
+    programs with the same labels are two rows, one per program."""
+    import cProfile
+    import pstats
+
+    profiler = cProfile.Profile()
+    for name, imm in (("first", 1), ("second", 2)):
+        program = build_program([([("alu_imm", ADD, 0, imm)], ("halt",))],
+                                name=name)
+        profiler.runcall(Interpreter(program, FlatMemory()).run_native)
+    rows = {filename: calls
+            for (filename, _, name), (calls, *_)
+            in pstats.Stats(profiler).stats.items() if name == "b0"}
+    assert rows == {"<first>": 1, "<second>": 1}
