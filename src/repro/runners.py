@@ -324,6 +324,21 @@ def _refs_served(hierarchy: MemoryHierarchy) -> int:
     return hierarchy.l1.stats.refs + (l1i.stats.refs if l1i else 0)
 
 
+def _count_run(hierarchy: MemoryHierarchy,
+               stats: Optional[RuntimeStats]) -> None:
+    """Count one execution's work from the program's own statistics:
+    references served, L1D and L2 misses (the hierarchy's stats) and,
+    under DynamoSim, trace passes (``RuntimeStats.trace_entries``)."""
+    telemetry = get_telemetry()
+    if not telemetry.enabled:
+        return
+    telemetry.count("memory.refs_served", _refs_served(hierarchy))
+    telemetry.count("memory.l1d_misses", hierarchy.l1.stats.misses)
+    telemetry.count("memory.l2_misses", hierarchy.l2.stats.misses)
+    if stats is not None:
+        telemetry.count("vm.trace_passes", stats.trace_entries)
+
+
 def _check_rider(stream: RefStream,
                  cachegrind: CachegrindSimulator) -> None:
     """Fail the run if the hub quarantined its Cachegrind rider.
@@ -411,7 +426,7 @@ def run_fused(
     _finish_streams(stream, hierarchy)
     if cachegrind is not None:
         _check_rider(stream, cachegrind)
-    get_telemetry().count("memory.refs_served", _refs_served(hierarchy))
+    _count_run(hierarchy, base.runtime_stats)
 
     all_derived = plan.derived()
     outcomes: List[RunOutcome] = []

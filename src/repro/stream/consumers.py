@@ -50,6 +50,9 @@ from .registry import BuildContext, register_consumer
 #: events carry ``line << 6`` byte addresses (see vm/interpreter.py).
 _CODE_LINE_BITS = 6
 
+#: The closed instruction lane's probe: it finds no line.
+_NO_LINES: Dict[int, int] = {}
+
 
 class ShadowHierarchyConsumer(RefConsumer):
     """Replays the reference stream into an independent hierarchy.
@@ -57,6 +60,14 @@ class ShadowHierarchyConsumer(RefConsumer):
     Timing-exact: each event's recorded ``cycle`` is used as the
     replay's ``now``, reproducing the producing run's replacement
     stamps, prefetch timeliness and hit/miss decisions verbatim.
+
+    A batch replays on the columns
+    :meth:`~repro.memory.MemoryHierarchy.hit_lanes` hands out, as a
+    compiled block's lanes do: an L1D or L1I hit retires inline, a
+    one-line L1D miss calls ``_miss``, a straddle calls ``access`` and
+    an L1I miss calls ``fetch``.  While a lane is closed the batch goes
+    through ``access``/``fetch`` one reference at a time, the contract
+    the lanes match.
     """
 
     wants_ifetch = True
@@ -71,19 +82,61 @@ class ShadowHierarchyConsumer(RefConsumer):
 
     def on_batch(self, batch: RefBatch) -> None:
         hierarchy = self.hierarchy
+        data, code = hierarchy.hit_lanes()
+        if data is None or data[0]:
+            self._replay_each(batch)
+            return
+        _, probe, stats, stamps, mru, dirty, _, miss = data
+        code_probe, code_stats, code_stamps, code_mru = (
+            code if code is not None else (_NO_LINES.get, None, None, None))
         access = hierarchy.access
-        columns = zip(batch.pcs, batch.addrs, batch.sizes, batch.kinds,
-                      batch.cycles)
-        if KIND_IFETCH in batch.kinds:
-            fetch = hierarchy.fetch
-            for pc, addr, size, kind, cycle in columns:
-                if kind == KIND_IFETCH:
-                    fetch((addr >> _CODE_LINE_BITS,), cycle)
+        fetch = hierarchy.fetch
+        # Hits are summed here and added once: within a batch nothing
+        # reads the L1 counts (the line stream has no consumers while
+        # the lane is open, and ``_miss``/``fetch`` only add to them).
+        reads = writes = code_hits = 0
+        for pc, addr, size, kind, now in zip(batch.pcs, batch.addrs,
+                                             batch.sizes, batch.kinds,
+                                             batch.cycles):
+            if kind == KIND_IFETCH:
+                line = addr >> _CODE_LINE_BITS
+                slot = code_probe(line)
+                if slot is None:
+                    fetch((line,), now)
                 else:
-                    access(pc, addr, kind == KIND_WRITE, size, cycle)
-        else:
-            for pc, addr, size, kind, cycle in columns:
-                access(pc, addr, kind == KIND_WRITE, size, cycle)
+                    code_hits += 1
+                    code_stamps[slot] = now
+                    code_mru[slot] = True
+            elif (addr & 63) + size > 64:
+                # A straddle (the open lane's lines are 64 bytes).
+                access(pc, addr, kind == KIND_WRITE, size, now)
+            else:
+                slot = probe(addr >> 6)
+                if slot is None:
+                    miss(pc, addr >> 6, kind == KIND_WRITE, now)
+                else:
+                    stamps[slot] = now
+                    mru[slot] = True
+                    if kind == KIND_WRITE:
+                        writes += 1
+                        dirty[slot] = True
+                    else:
+                        reads += 1
+        stats.reads += reads
+        stats.writes += writes
+        if code_hits:
+            code_stats.reads += code_hits
+
+    def _replay_each(self, batch: RefBatch) -> None:
+        """One ``access``/``fetch`` call per reference."""
+        hierarchy = self.hierarchy
+        for pc, addr, size, kind, cycle in zip(batch.pcs, batch.addrs,
+                                               batch.sizes, batch.kinds,
+                                               batch.cycles):
+            if kind == KIND_IFETCH:
+                hierarchy.fetch((addr >> _CODE_LINE_BITS,), cycle)
+            else:
+                hierarchy.access(pc, addr, kind == KIND_WRITE, size, cycle)
 
     def summary(self) -> Dict[str, Any]:
         hierarchy = self.hierarchy

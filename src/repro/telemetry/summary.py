@@ -103,6 +103,15 @@ def overview_table(metrics: List[Dict[str, Any]],
     # counts references served inline by compiled blocks too.
     table.add_row("references served",
                   _counter_total(metrics, "memory.refs_served"))
+    # Also from the program's own statistics after each execution: the
+    # L1D and L2 caches' demand misses, and DynamoSim's trace passes
+    # (native executions have none).
+    table.add_row("L1D misses",
+                  _counter_total(metrics, "memory.l1d_misses"))
+    table.add_row("L2 misses",
+                  _counter_total(metrics, "memory.l2_misses"))
+    table.add_row("trace passes",
+                  _counter_total(metrics, "vm.trace_passes"))
     # Block compilation: code objects made on a code-cache miss, the
     # compile() calls their shared templates took, and the seconds
     # those misses cost.

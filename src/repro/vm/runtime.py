@@ -11,10 +11,18 @@ UMI plugs in through :class:`RuntimeHooks`: trace creation, trace
 entry/exit (where profiling rows are managed), and the periodic timer
 sample used by the region selector.
 
-A trace pass pays only for what it uses: the entry/exit hooks fire only
-for traces the client marked ``hooked``, the stream's trace id is
-stamped only when a consumer declares ``wants_trace_ids``, and a trace
-that exits to its own head over a linked branch is re-entered directly.
+Trace passes run in one loop inside :meth:`DynamoSim._run`, and a clean
+pass pays only for its blocks: it calls the trace's block functions and
+walks its on-trace successors, nothing else.  The per-pass prologue and
+epilogue -- the stream's trace id, the entry/exit hooks, and setting
+and clearing ``context.prefetch_map`` -- run only for a pass whose
+trace is ``hooked`` or has a prefetch map, or while a stream consumer
+declares ``wants_trace_ids``; this is decided afresh on every pass.  A
+trace that exits to its own head over a linked direct branch is
+re-entered directly, and over such a run of passes ``trace.entries``,
+``RuntimeStats.trace_entries`` and ``RuntimeStats.steps_in_traces``
+are added once, except that a pass with a prologue first brings
+``entries`` up to date for the hook and the trace id that read it.
 """
 
 from __future__ import annotations
@@ -40,7 +48,9 @@ class RuntimeHooks:
     ``trace_entered`` and ``trace_exited`` fire only around passes of
     traces whose ``hooked`` flag is set (the client sets it, typically
     in ``trace_created``); whether a pass calls ``trace_exited`` is
-    decided by the flag's value at entry.
+    decided by the flag's value at entry.  ``trace.entries`` already
+    counts the pass ``trace_entered`` sees, and every finished pass
+    when ``timer_sample`` fires.
     """
 
     def trace_created(self, trace: Trace) -> None:
@@ -125,11 +135,6 @@ class DynamoSim:
         self.hooks = hooks if hooks is not None else RuntimeHooks()
         self.interp = Interpreter(program, memsys, cost_model,
                                   stream=stream)
-        # Hoisted for the per-pass trace loop.
-        self._state = self.interp.state
-        self._context = self.interp.context
-        self._stream = stream
-        self._trace_branch_discount = cost_model.trace_branch_discount
         self.builder = TraceBuilder(
             program,
             hot_threshold=self.config.hot_threshold,
@@ -172,8 +177,9 @@ class DynamoSim:
     def _run(self) -> RuntimeStats:
         interp = self.interp
         interp.bind_lanes()
-        state = self._state
-        context = self._context
+        state = interp.state
+        context = interp.context
+        stream = interp.stream
         config = self.config
         model = self.cost_model
         stats = self.stats
@@ -181,13 +187,14 @@ class DynamoSim:
         builder = self.builder
         traces = self.traces
         trace_heads = traces.keys()
+        trace_functions = self._trace_functions
         linked = self._linked
         translated = self._translated
         block_function = interp.block_function
-        execute_trace = self._execute_trace
         dispatch_cost = model.dispatch_cost
         indirect_cost = model.indirect_lookup_cost
         translation_cost = model.block_translation_cost
+        discount = model.trace_branch_discount
         enable_traces = config.enable_traces
         sample_period = config.sample_period
         max_steps = config.max_steps
@@ -220,19 +227,67 @@ class DynamoSim:
             trace = (traces.get(label) if builder.recording_head is None
                      else None)
             if trace is not None:
-                label = execute_trace(trace)
-                head = trace.head
-                if label == head and (head, head) in linked:
-                    # Linked self-loop: re-enter the trace directly
+                compiled = trace_functions.get(trace)
+                if compiled is None:
+                    compiled = self._compile_trace(trace)
+                functions, successors = compiled
+                first = functions[0]
+                last = len(successors)
+                head = label
+                self_linked = (head, head) in linked
+                steps_before = state.steps
+                # Passes not yet added to ``trace.entries`` and
+                # ``stats.trace_entries``.
+                passes = 0
+                while True:
+                    passes += 1
+                    hooked = trace.hooked
+                    stamped = stream is not None and stream.wants_trace_ids
+                    dressed = hooked or stamped or trace.prefetch_map
+                    if dressed:
+                        # The prologue.  Its hook and trace id read
+                        # ``entries``, so the count is settled first.
+                        trace.entries += passes
+                        stats.trace_entries += passes
+                        passes = 0
+                        if stamped:
+                            # Unique per pass, so stream consumers can
+                            # group references into profile rows
+                            # without extra boundary markers.
+                            stream.trace_id = f"{head}@{trace.entries}"
+                        if hooked:
+                            hooks.trace_entered(trace)
+                        prefetch_map = trace.prefetch_map
+                        if prefetch_map:
+                            context.prefetch_map = prefetch_map
+                    label = first()
+                    i = 0
+                    while i < last and label == successors[i]:
+                        # Stayed on the trace: the stitched fragment
+                        # elides this branch/layout cost.
+                        state.cycles -= discount
+                        i += 1
+                        label = functions[i]()
+                    if dressed:
+                        if prefetch_map:
+                            context.prefetch_map = None
+                        if stamped:
+                            stream.trace_id = None
+                        if hooked:
+                            hooks.trace_exited(trace)
+                    # A linked self-loop re-enters the trace directly
                     # while the back branch is direct, no timer tick is
                     # due and the step limit holds.  Nothing records in
                     # this state, so the trace cache cannot change.
-                    while (label == head
-                           and context.last_terminator_op not in indirect
-                           and (next_sample is None
-                                or state.cycles < next_sample)
-                           and state.steps <= max_steps):
-                        label = execute_trace(trace)
+                    if not (label == head and self_linked
+                            and context.last_terminator_op not in indirect
+                            and (next_sample is None
+                                 or state.cycles < next_sample)
+                            and state.steps <= max_steps):
+                        break
+                trace.entries += passes
+                stats.trace_entries += passes
+                stats.steps_in_traces += state.steps - steps_before
                 last_trace = trace
             else:
                 if label not in translated:
@@ -280,52 +335,6 @@ class DynamoSim:
         get_telemetry().count("vm.traces_built",
                               labels={"program": self.program.name})
         self.hooks.trace_created(trace)
-
-    def _execute_trace(self, trace: Trace) -> Optional[str]:
-        """One pass through a trace; returns the exit label."""
-        state = self._state
-        stats = self.stats
-        trace.entries += 1
-        stats.trace_entries += 1
-        steps_before = state.steps
-
-        stream = self._stream
-        stamped = stream is not None and stream.wants_trace_ids
-        if stamped:
-            # Unique per pass, so stream consumers can group references
-            # into profile rows without extra boundary markers.
-            stream.trace_id = f"{trace.head}@{trace.entries}"
-        hooked = trace.hooked
-        if hooked:
-            self.hooks.trace_entered(trace)
-        prefetch_map = trace.prefetch_map
-        if prefetch_map:
-            self._context.prefetch_map = prefetch_map
-
-        compiled = self._trace_functions.get(trace)
-        if compiled is None:
-            compiled = self._compile_trace(trace)
-        functions, successors = compiled
-        exit_label = functions[0]()
-        if successors:
-            discount = self._trace_branch_discount
-            last = len(successors)
-            i = 0
-            while i < last and exit_label == successors[i]:
-                # Stayed on the trace: the stitched fragment elides this
-                # branch/layout cost.
-                state.cycles -= discount
-                i += 1
-                exit_label = functions[i]()
-
-        if prefetch_map:
-            self._context.prefetch_map = None
-        if stamped:
-            stream.trace_id = None
-        if hooked:
-            self.hooks.trace_exited(trace)
-        stats.steps_in_traces += state.steps - steps_before
-        return exit_label
 
     def _compile_trace(self, trace: Trace) -> tuple:
         """A trace's block functions and on-trace successor labels."""

@@ -244,6 +244,12 @@ class TestParallelMergeEqualsSerial:
         assert placement_free(parallel_counts) \
             == placement_free(serial_counts)
         assert total(serial_counts, {"workloads.program_builds"}) == 1
+        # Counts read from each run's own statistics merge to the
+        # serial totals (covered above; named here so they must exist).
+        for name in ("memory.refs_served", "memory.l1d_misses",
+                     "memory.l2_misses", "vm.trace_passes"):
+            assert total(parallel_counts, {name}) \
+                == total(serial_counts, {name}) > 0
         for names in CACHE_TOTALS:
             assert total(parallel_counts, names) \
                 == total(serial_counts, names)
@@ -519,20 +525,29 @@ class TestCLITelemetry:
     def test_overview_counts_references_served(self, tmp_path, capsys,
                                                global_telemetry,
                                                monkeypatch):
-        # Each execution adds its L1D and L1I references, read from the
-        # hierarchy's stats: hits the compiled blocks served inline
-        # count as well as hierarchy calls.
+        # Each execution adds its L1D and L1I references and its L1D
+        # and L2 misses, read from the hierarchy's stats (hits the
+        # compiled blocks served inline count as well as hierarchy
+        # calls), and its trace passes, read from its RuntimeStats.
         import repro.runners as runners
         from repro.experiments.cli import main
         from repro.telemetry.export import load_telemetry_dir
+        from repro.vm import DynamoSim
         hierarchies = []
+        runtime_stats = []
         make_hierarchy = runners._make_hierarchy
+        run = DynamoSim.run
 
         def recording(*args):
             hierarchies.append(make_hierarchy(*args))
             return hierarchies[-1]
 
+        def recording_run(dynamo):
+            runtime_stats.append(run(dynamo))
+            return runtime_stats[-1]
+
         monkeypatch.setattr(runners, "_make_hierarchy", recording)
+        monkeypatch.setattr(DynamoSim, "run", recording_run)
         directory = tmp_path / "telemetry"
         assert main(["table2", "--scale", "0.1", "--no-store",
                      "--telemetry", str(directory)]) == 0
@@ -542,6 +557,14 @@ class TestCLITelemetry:
         served = sum(h.l1.stats.refs + h.l1i.stats.refs
                      for h in hierarchies)
         assert rows["references served"] == served > 0
+        assert rows["L1D misses"] == sum(
+            h.l1.stats.misses for h in hierarchies) > 0
+        assert rows["L2 misses"] == sum(
+            h.l2.stats.misses for h in hierarchies) > 0
+        assert rows["L1D misses"] <= rows["references served"]
+        # table2's one UMI group runs under DynamoSim.
+        assert len(runtime_stats) == 1
+        assert rows["trace passes"] == runtime_stats[0].trace_entries > 0
 
     def test_overview_counts_block_compiles(self, tmp_path, capsys,
                                             global_telemetry, monkeypatch):

@@ -1,13 +1,17 @@
 """The per-pass contract of DynamoSim: hooks, trace ids, linked self-loops.
 
-A trace pass pays only for what it uses.  The entry/exit hooks fire only
-for hooked traces, the stream's trace id is stamped only when a consumer
-reads trace ids, and a trace that exits to its own head over a linked
-direct branch is re-entered without the dispatcher's link probe.  None of
-that may change a simulated number: the values pinned below were taken
-from the runtime that hooked, stamped and probed on every pass, and every
+A clean trace pass pays only for its blocks.  The entry/exit hooks fire
+only for hooked traces, the stream's trace id is stamped only when a
+consumer reads trace ids, the prefetch map is set only for traces that
+have one, and a trace that exits to its own head over a linked direct
+branch is re-entered without the dispatcher's link probe, its entry
+counts added once per run of passes.  None of that may change a
+simulated number: the values pinned below were taken from the runtime
+that hooked, stamped and probed on every pass, and every
 ``RuntimeStats`` field, cycle count, payload and profile-recorder summary
-must still equal them.
+must still equal them.  A client that hooks every trace and does
+nothing must change no number either, and every entry hook must see
+``trace.entries`` counting the pass it enters.
 """
 
 import hashlib
@@ -346,6 +350,128 @@ def test_self_loop_cases_land_inside_the_loop():
     switch = DYNAMO_CASES["switch-self-loop"]()
     assert sorted(switch["entries"]) == ["next", "rep", "spin"]
     assert switch["stats"]["indirect_lookups"] > 500
+
+
+# -- hooked passes -----------------------------------------------------------
+
+class HookEveryTrace(TickRecorder):
+    """Hooks every trace and does nothing at entry or exit, except
+    record the ``entries`` each entry hook sees."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen = {}
+        self.exits = 0
+
+    def trace_created(self, trace):
+        trace.hooked = True
+
+    def trace_entered(self, trace):
+        self.seen.setdefault(trace.head, []).append(trace.entries)
+
+    def trace_exited(self, trace):
+        self.exits += 1
+
+
+def machine_observation(program, hooks, **config):
+    dynamo = DynamoSim(program, FlatMemory(latency=3),
+                       config=RuntimeConfig(**config), hooks=hooks)
+    hooks.dynamo = dynamo
+    dynamo.run()
+    state = dynamo.state
+    return {
+        "stats": vars(dynamo.stats),
+        "cycles": state.cycles,
+        "steps": state.steps,
+        "regs": list(state.regs),
+        "memory": dict(state.memory),
+        "ticks": hooks.ticks,
+        "entries": {head: trace.entries
+                    for head, trace in sorted(dynamo.traces.items())},
+    }
+
+
+#: (program, config) pairs whose hot trace is a linked self-loop: one
+#: block, two blocks, and three blocks that also return through a
+#: switch.
+SELF_LOOPS = {
+    "one-block": lambda: (build_stream_program(n=256, reps=6)[0],
+                          dict(hot_threshold=5, sample_period=97)),
+    "two-block": lambda: (build_two_block_loop(),
+                          dict(hot_threshold=3, sample_period=89)),
+    "switch": lambda: (build_switch_loop(), dict(hot_threshold=3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELF_LOOPS))
+def test_hooking_every_trace_changes_no_number(case):
+    program, config = SELF_LOOPS[case]()
+    clean = machine_observation(program, TickRecorder(), **config)
+    hooks = HookEveryTrace()
+    hooked = machine_observation(program, hooks, **config)
+    assert hooked == clean
+    # Every pass ran its prologue and epilogue, and each entry hook saw
+    # ``entries`` counting its own pass.
+    assert hooks.exits == clean["stats"]["trace_entries"]
+    assert hooks.seen == {
+        head: list(range(1, count + 1))
+        for head, count in clean["entries"].items()}
+
+
+class HookOnTick(TickRecorder):
+    """Hooks a trace at the 20th timer tick that lands in it: the entry
+    hook must then see the passes it ran clean, counted."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hooked_at = {}
+        self.seen = {}
+
+    def timer_sample(self, trace):
+        super().timer_sample(trace)
+        if trace is None or trace.hooked:
+            return
+        head = trace.head
+        if sum(1 for _, tick in self.ticks if tick == head) == 20:
+            trace.hooked = True
+            self.hooked_at[head] = trace.entries
+
+    def trace_entered(self, trace):
+        self.seen.setdefault(trace.head, []).append(trace.entries)
+
+
+def test_hooking_mid_run_sees_the_clean_passes_counted():
+    program, config = SELF_LOOPS["one-block"]()
+    clean = machine_observation(program, TickRecorder(), **config)
+    hooks = HookOnTick()
+    late = machine_observation(program, hooks, **config)
+    assert late == clean
+    assert hooks.hooked_at["loop"] > 100
+    for head, first in hooks.hooked_at.items():
+        assert hooks.seen[head] == list(
+            range(first + 1, clean["entries"][head] + 1))
+
+
+def test_event_sampling_sees_entries_current_at_the_hook(monkeypatch):
+    # Event-mode selection hooks every trace and counts every Nth
+    # entry, so each entry hook must see ``entries`` counting its pass.
+    from repro.core.umi import UMIRuntime
+    seen = {}
+    entered = UMIRuntime._on_trace_entered
+
+    def recording(self, trace):
+        seen.setdefault(trace.head, []).append(trace.entries)
+        entered(self, trace)
+
+    monkeypatch.setattr(UMIRuntime, "_on_trace_entered", recording)
+    program = get_workload("181.mcf").build(0.05)
+    outcome = runners.run_umi(program, get_machine("pentium4"),
+                              umi_config=SAMPLING["event"])
+    assert outcome.runtime_stats.trace_entries == 3434
+    assert sum(map(len, seen.values())) == 3434
+    for counts in seen.values():
+        assert counts == list(range(1, len(counts) + 1))
+    assert outcome.umi.instrumentation.traces_instrumented > 0
 
 
 # -- trace ids ---------------------------------------------------------------

@@ -217,19 +217,26 @@ class TestHooks:
 
 class TestPrefetchMapExecution:
     def test_trace_prefetch_map_issues_prefetches(self):
+        # A client that attaches a prefetch map when the loop trace is
+        # created: every pass of it after that issues the prefetch, and
+        # the map is set only while a pass runs.
+        class Injector(RuntimeHooks):
+            def trace_created(self, trace):
+                if trace.head == "loop":
+                    trace.prefetch_map = {
+                        next(ins.pc for ins in trace.iter_instructions()
+                             if ins.is_load()): 512}
+
         program, _ = build_stream_program(n=256, reps=4)
         memsys = FlatMemory()
         dyn = DynamoSim(program, memsys,
-                        config=RuntimeConfig(hot_threshold=5))
-        # Run briefly to create the trace, then attach a prefetch map.
+                        config=RuntimeConfig(hot_threshold=5),
+                        hooks=Injector())
         stats = dyn.run()
-        assert memsys.sw_prefetches_issued == 0
-        trace = dyn.traces["loop"]
-        load_pc = next(ins.pc for ins in trace.iter_instructions()
-                       if ins.is_load())
-        trace.prefetch_map = {load_pc: 512}
-        # Re-run a fresh DynamoSim sharing nothing; instead simulate by
-        # executing the trace directly.
-        exit_label = dyn._execute_trace(trace)
-        assert memsys.sw_prefetches_issued >= 1
-        assert exit_label in ("loop", "next", None)
+        plain, plain_stats = run_dynamo(program, hot_threshold=5)
+        loop = dyn.traces["loop"]
+        assert loop.prefetch_map is not None
+        assert memsys.sw_prefetches_issued == loop.entries > 100
+        assert dyn.interp.context.prefetch_map is None
+        assert vars(stats) == vars(plain_stats)
+        assert dyn.state.regs == plain.state.regs
