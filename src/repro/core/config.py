@@ -5,12 +5,18 @@ Defaults follow the paper's prototype: a sampling frequency threshold of
 operations x 256 trace executions, two warm-up executions before miss
 accounting starts, and a 1M-cycle cache-state flush interval (Sections
 3-5).
+
+:data:`ANALYSIS_FIELDS` names the fields only the profile analyzer
+reads.  Runs whose configs differ in nothing else execute identically
+unless software prefetching feeds the analyzer's labels back into the
+run, so one execution can serve them all
+(:mod:`repro.engine.fusion`, :class:`repro.core.UMIRuntime`'s lanes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.memory.cache import CacheConfig
 
@@ -120,3 +126,22 @@ class UMIConfig:
             raise ValueError("stride_confidence must be in [0,1]")
         if not 1 <= self.min_lookahead <= self.max_lookahead:
             raise ValueError("need 1 <= min_lookahead <= max_lookahead")
+
+
+#: The fields only :class:`~repro.core.MiniCacheSimulator` reads.
+MINI_SIM_FIELDS = ("mini_cache", "warmup_executions", "shared_cache",
+                   "flush_interval")
+
+#: The fields only the profile analyzer reads: the mini-simulator's and
+#: :class:`~repro.core.DelinquentPredictor`'s.  Without software
+#: prefetching nothing they decide feeds back into the run, so configs
+#: that differ only here share one execution.  An allowlist: any other
+#: field, including one added later, shapes the execution.
+ANALYSIS_FIELDS = MINI_SIM_FIELDS + (
+    "adaptive_threshold", "initial_delinquency_threshold",
+    "threshold_step", "min_delinquency_threshold", "min_op_refs")
+
+
+def config_values(config: UMIConfig, names: Tuple[str, ...]) -> Tuple:
+    """``config``'s values of the fields ``names``, as a hashable key."""
+    return tuple(getattr(config, name) for name in names)

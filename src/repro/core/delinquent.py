@@ -7,6 +7,11 @@ trace: each trace starts at 0.90 and the threshold drops by 0.10 after
 every analyzer invocation the trace is responsible for, down to 0.10 --
 which "significantly reduces the false positives from 82.61% to 56.76%"
 relative to a single global threshold.
+
+The per-trace thresholds live in the predictor, keyed by trace head and
+seeded from ``UMIConfig.initial_delinquency_threshold``, so several
+predictors with different threshold settings can label the profiles of
+one execution (:class:`repro.core.UMIRuntime`'s analysis lanes).
 """
 
 from __future__ import annotations
@@ -40,6 +45,15 @@ class DelinquentPredictor:
         self.predicted: Set[int] = set()
         self.decisions: int = 0
         self._labelled_events: int = 0
+        #: adaptive per-trace thresholds, keyed by trace head; a trace
+        #: not yet analyzed starts at the configured initial threshold.
+        self._thresholds: Dict[str, float] = {}
+
+    def threshold(self, head: str) -> float:
+        """The delinquency threshold the next analysis of the trace at
+        ``head`` is judged against."""
+        return self._thresholds.get(
+            head, self.config.initial_delinquency_threshold)
 
     def process(self, trace: Trace, result: AnalysisResult) -> Set[int]:
         """Label delinquent loads from one trace's analysis result.
@@ -51,11 +65,7 @@ class DelinquentPredictor:
         was attributed to it.
         """
         config = self.config
-        threshold = (
-            trace.delinquency_threshold
-            if config.adaptive_threshold
-            else config.initial_delinquency_threshold
-        )
+        threshold = self.threshold(trace.head)
         labelled: Set[int] = set()
         for pc, op in result.per_op.items():
             if op.refs < config.min_op_refs:
@@ -69,11 +79,10 @@ class DelinquentPredictor:
         self._labelled_events += len(labelled)
 
         if config.adaptive_threshold:
-            trace.delinquency_threshold = max(
+            self._thresholds[trace.head] = max(
                 config.min_delinquency_threshold,
-                trace.delinquency_threshold - config.threshold_step,
+                threshold - config.threshold_step,
             )
-        trace.analyzer_invocations += 1
         return labelled
 
     @property

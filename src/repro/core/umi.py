@@ -14,12 +14,24 @@ DynamoRIO stand-in (:class:`repro.vm.DynamoSim`):
   trace profile buffer or an address profile fills; it labels delinquent
   loads and (optionally) lets the software-prefetch optimizer rewrite
   the trace clone before it is swapped back in (Sections 5, 7, 8).
+
+One execution can serve several analysis configurations.  Configs that
+differ only in :data:`~repro.core.config.ANALYSIS_FIELDS` (mini-cache
+geometry, warm-up, cache sharing and flushing, delinquency thresholds)
+execute identically as long as software prefetching is off: nothing
+the analyzer decides then feeds back into the run.  The runtime keeps
+one *analysis lane* per distinct analysis config.  A lane holds its own
+predictor, phase tracker, profile archive and :class:`UMIResult`; lanes
+whose mini-simulator settings are equal share one
+:class:`MiniCacheSimulator` and its per-profile result.  The analyzer's
+cycles, :class:`UMIStats`, the clone swap and the stream epoch happen
+once per invocation, whatever the number of lanes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from dataclasses import dataclass, fields
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.isa import Program
 from repro.memory.configs import make_hw_prefetcher
@@ -31,13 +43,21 @@ from repro.vm.runtime import (
 )
 from repro.vm.trace import Trace
 
-from .analyzer import MiniCacheSimulator
-from .config import UMIConfig
+from .analyzer import AnalysisResult, MiniCacheSimulator
+from .config import (
+    ANALYSIS_FIELDS, MINI_SIM_FIELDS, UMIConfig, config_values,
+)
 from .delinquent import DelinquentPredictor
 from .instrumentor import InstrumentationStats, Instrumentor
 from .optimizer import PrefetchStats, SoftwarePrefetchOptimizer
 from .phase import Phase, PhaseTracker
 from .profiles import AddressProfile, TraceProfileBuffer
+
+
+#: The config fields that shape the execution: all but the analysis-only
+#: ones, which analysis lanes may set apart.
+_EXECUTION_FIELDS = tuple(f.name for f in fields(UMIConfig)
+                          if f.name not in ANALYSIS_FIELDS)
 
 
 @dataclass
@@ -89,6 +109,44 @@ class UMIResult:
         }
 
 
+class _AnalysisLane:
+    """One analysis config's view of a shared execution."""
+
+    def __init__(self, config: UMIConfig, sim_index: int,
+                 mini_sim: MiniCacheSimulator, program: Program) -> None:
+        self.config = config
+        #: the runtime's mini-simulator this lane reads, shared with
+        #: every lane of equal mini-simulator settings.
+        self.sim_index = sim_index
+        self.mini_sim = mini_sim
+        self.predictor = DelinquentPredictor(config, program)
+        self.phase_tracker = (
+            PhaseTracker() if config.track_phases else None
+        )
+        self.profile_archive: list = []
+        #: this lane's :class:`UMIResult`, set when the run finishes.
+        self.result: Optional[UMIResult] = None
+        # This analyzer invocation's counted references and misses.
+        self._refs = 0
+        self._misses = 0
+
+    def label(self, trace: Trace, profile: AddressProfile,
+              result: AnalysisResult) -> Set[int]:
+        """Take one profile's mini-simulation result; returns the loads
+        labelled delinquent."""
+        self._refs += result.counted_refs
+        self._misses += result.counted_misses
+        if self.config.retain_profiles:
+            self.profile_archive.append(profile)
+        return self.predictor.process(trace, result)
+
+    def end_invocation(self) -> None:
+        """Feed the invocation's miss ratio to the phase tracker."""
+        if self.phase_tracker is not None and self._refs:
+            self.phase_tracker.observe(self._misses / self._refs)
+        self._refs = self._misses = 0
+
+
 class _UMIHooks(RuntimeHooks):
     """Adapter routing DynamoSim events into the UMI runtime."""
 
@@ -109,7 +167,15 @@ class _UMIHooks(RuntimeHooks):
 
 
 class UMIRuntime:
-    """Runs one program under DynamoSim + UMI on a modelled machine."""
+    """Runs one program under DynamoSim + UMI on a modelled machine.
+
+    ``config`` drives the execution.  ``analysis_configs`` (default:
+    ``[config]``) are the configs :meth:`run_lanes` reports one result
+    for each; they may differ from ``config`` only in
+    :data:`~repro.core.config.ANALYSIS_FIELDS`, and not at all when
+    software prefetching is on, since the optimizer acts on one
+    predictor's labels.
+    """
 
     def __init__(
         self,
@@ -121,11 +187,14 @@ class UMIRuntime:
         hw_prefetch: bool = False,
         hierarchy: Optional[MemoryHierarchy] = None,
         stream=None,
+        analysis_configs: Optional[Sequence[UMIConfig]] = None,
     ) -> None:
         self.program = program
         self.machine = machine
         self.config = config if config is not None else UMIConfig()
         self.cost_model = cost_model
+        self._lane_of = self._make_lanes(
+            analysis_configs if analysis_configs else [self.config])
 
         if hierarchy is None:
             hierarchy = MemoryHierarchy(
@@ -145,8 +214,6 @@ class UMIRuntime:
         )
         state = self.dynamo.state
         self.instrumentor = Instrumentor(self.config, cost_model, state)
-        self.mini_sim = MiniCacheSimulator(self.config, machine.l2)
-        self.predictor = DelinquentPredictor(self.config, program)
         self.optimizer = (
             SoftwarePrefetchOptimizer(self.config, machine)
             if self.config.enable_sw_prefetch else None
@@ -154,14 +221,9 @@ class UMIRuntime:
         self.trace_buffer = TraceProfileBuffer(
             self.config.trace_profile_entries,
         )
-        self.phase_tracker = (
-            PhaseTracker() if self.config.track_phases else None
-        )
         self.stats = UMIStats()
         #: live (still recording) address profiles, keyed by trace head.
         self.profiles: Dict[str, AddressProfile] = {}
-        #: analyzed profiles, retained when ``config.retain_profiles``.
-        self.profile_archive: list = []
         self._entered_trace: Optional[Trace] = None
         self._trigger_on_exit = False
         # Event-driven selection counts every entry of a clean trace, so
@@ -174,19 +236,69 @@ class UMIRuntime:
         self._telemetry = get_telemetry()
         self._telemetry_labels = {"workload": program.name}
 
+    def _make_lanes(self, configs: Sequence[UMIConfig]
+                    ) -> List[_AnalysisLane]:
+        """One lane per distinct analysis config, one mini-simulator per
+        distinct mini-simulator setting; returns each config's lane."""
+        execution = config_values(self.config, _EXECUTION_FIELDS)
+        lanes: Dict[tuple, _AnalysisLane] = {}
+        #: mini-simulator settings -> index into ``_mini_sims``.
+        sim_index: Dict[tuple, int] = {}
+        self._mini_sims: List[MiniCacheSimulator] = []
+        lane_of = []
+        for config in configs:
+            if config_values(config, _EXECUTION_FIELDS) != execution:
+                raise ValueError(
+                    "analysis configs may differ from the execution "
+                    "config only in analysis fields")
+            key = config_values(config, ANALYSIS_FIELDS)
+            lane = lanes.get(key)
+            if lane is None:
+                sim_key = config_values(config, MINI_SIM_FIELDS)
+                if sim_key not in sim_index:
+                    sim_index[sim_key] = len(self._mini_sims)
+                    self._mini_sims.append(
+                        MiniCacheSimulator(config, self.machine.l2))
+                index = sim_index[sim_key]
+                lane = lanes[key] = _AnalysisLane(
+                    config, index, self._mini_sims[index], self.program)
+            lane_of.append(lane)
+        if len(lanes) > 1 and self.config.enable_sw_prefetch:
+            raise ValueError(
+                "with software prefetching the predictor's labels drive "
+                "the run, so analysis configs cannot share an execution")
+        self._lanes = list(lanes.values())
+        return lane_of
+
     # -- public API --------------------------------------------------------------
 
     @property
     def state(self):
         return self.dynamo.state
 
+    @property
+    def mini_sim(self) -> MiniCacheSimulator:
+        """The first analysis config's mini-simulator."""
+        return self._lane_of[0].mini_sim
+
+    @property
+    def profile_archive(self) -> list:
+        """Analyzed profiles, retained when ``config.retain_profiles``."""
+        return self._lane_of[0].profile_archive
+
     def run(self, analyze_at_exit: bool = True) -> UMIResult:
-        """Execute to completion; returns the collected results.
+        """Execute to completion; returns the collected results (of the
+        first analysis config).
 
         ``analyze_at_exit`` drains any live profiles through the analyzer
         when the program halts, so short runs still yield predictions
         (the prototype would simply never act on that residue).
         """
+        return self.run_lanes(analyze_at_exit)[0]
+
+    def run_lanes(self, analyze_at_exit: bool = True) -> List[UMIResult]:
+        """Execute to completion once; one result per analysis config,
+        in order (configs of one lane get the same result)."""
         try:
             runtime_stats = self.dynamo.run()
         finally:
@@ -214,24 +326,29 @@ class UMIRuntime:
                     self.stats.address_profile_triggers),
                 exit_drains=self.stats.exit_drains,
             )
-        return UMIResult(
-            program_name=self.program.name,
-            cycles=state.cycles,
-            steps=state.steps,
-            runtime_stats=runtime_stats,
-            umi_stats=self.stats,
-            instrumentation=self.instrumentor.stats,
-            simulated_miss_ratio=self.mini_sim.overall_miss_ratio(),
-            pc_miss_ratios=self.mini_sim.pc_miss_ratios(
-                min_refs=self.config.min_op_refs,
-            ),
-            predicted_delinquent=self.predictor.prediction_set,
-            hardware_counters=self.hierarchy.counters_snapshot(),
-            hardware_l2_miss_ratio=self.hierarchy.l2_miss_ratio(),
-            prefetch_stats=self.optimizer.stats if self.optimizer else None,
-            phases=(self.phase_tracker.phases()
-                    if self.phase_tracker else None),
-        )
+        hardware_counters = self.hierarchy.counters_snapshot()
+        hardware_l2_miss_ratio = self.hierarchy.l2_miss_ratio()
+        for lane in self._lanes:
+            lane.result = UMIResult(
+                program_name=self.program.name,
+                cycles=state.cycles,
+                steps=state.steps,
+                runtime_stats=runtime_stats,
+                umi_stats=self.stats,
+                instrumentation=self.instrumentor.stats,
+                simulated_miss_ratio=lane.mini_sim.overall_miss_ratio(),
+                pc_miss_ratios=lane.mini_sim.pc_miss_ratios(
+                    min_refs=lane.config.min_op_refs,
+                ),
+                predicted_delinquent=lane.predictor.prediction_set,
+                hardware_counters=dict(hardware_counters),
+                hardware_l2_miss_ratio=hardware_l2_miss_ratio,
+                prefetch_stats=(self.optimizer.stats if self.optimizer
+                                else None),
+                phases=(lane.phase_tracker.phases()
+                        if lane.phase_tracker else None),
+            )
+        return [lane.result for lane in self._lane_of]
 
     # -- region selection ------------------------------------------------------------
 
@@ -365,12 +482,14 @@ class UMIRuntime:
         model = self.cost_model
         state.cycles += model.analyzer_invoke_cost
         self.stats.analyzer_invocations += 1
-        if self.mini_sim.maybe_flush(state.cycles):
-            telemetry.count("umi.mini_sim_flushes",
-                            labels=self._telemetry_labels)
+        sims = self._mini_sims
+        for sim in sims:
+            # One flush count per mini-simulator, however many lanes
+            # share it.
+            if sim.maybe_flush(state.cycles):
+                telemetry.count("umi.mini_sim_flushes",
+                                labels=self._telemetry_labels)
 
-        invocation_refs = 0
-        invocation_misses = 0
         analyzed = list(self.profiles.items())
         for head, profile in analyzed:
             trace = self.dynamo.traces[head]
@@ -381,21 +500,19 @@ class UMIRuntime:
                 state.cycles += (
                     model.analyzer_cost_per_record * profile.record_count()
                 )
-                result = self.mini_sim.analyze(profile)
-                invocation_refs += result.counted_refs
-                invocation_misses += result.counted_misses
-                delinquent = self.predictor.process(trace, result)
-                if self.optimizer is not None and delinquent:
-                    self.optimizer.optimize(trace, profile, delinquent)
-                if self.config.retain_profiles:
-                    self.profile_archive.append(profile)
+                results = [sim.analyze(profile) for sim in sims]
+                for lane in self._lanes:
+                    delinquent = lane.label(trace, profile,
+                                            results[lane.sim_index])
+                    # The optimizer requires a single lane.
+                    if self.optimizer is not None and delinquent:
+                        self.optimizer.optimize(trace, profile, delinquent)
             self.instrumentor.swap_to_clone(trace)
             trace.hooked = self._hook_clean_traces
             del self.profiles[head]
         self.trace_buffer.drain()
-
-        if self.phase_tracker is not None and invocation_refs:
-            self.phase_tracker.observe(invocation_misses / invocation_refs)
+        for lane in self._lanes:
+            lane.end_invocation()
 
         if self._stream is not None:
             # Mark the analyzer boundary on the reference stream so

@@ -145,12 +145,17 @@ def record_static_counts(entries: Sequence[Sequence[Any]]) -> None:
         _static_counts[(workload, scale)] = (loads, stores)
 
 
-def _observers(spec: RunSpec) -> Dict[str, Any]:
-    """The observer fields of ``spec`` that its mode takes (a dynamo
-    run takes no Cachegrind rider; only native runs take counters)."""
+def _variant(spec: RunSpec) -> Dict[str, Any]:
+    """What ``spec`` asks of a shared execution: the observer fields its
+    mode takes (a dynamo run takes no Cachegrind rider; only native runs
+    take counters) and, for a umi run, its own config, whose
+    analysis-only fields pick its analysis lane."""
     accepted = MODE_KWARGS[spec.mode]
-    return {name: getattr(spec, name) for name in OBSERVER_KWARGS
-            if name in accepted}
+    variant = {name: getattr(spec, name) for name in OBSERVER_KWARGS
+               if name in accepted}
+    if spec.mode == "umi":
+        variant["umi_config"] = spec.umi_config()
+    return variant
 
 
 def execute_group(group: Sequence[RunSpec]) -> List[RunOutcome]:
@@ -159,7 +164,7 @@ def execute_group(group: Sequence[RunSpec]) -> List[RunOutcome]:
     Members share an execution identity
     (:func:`~repro.engine.fusion.fusion_key`), so the first member's
     execution fields stand for all of them and each member contributes
-    only its observers.
+    only its observers and, under UMI, its analysis config.
 
     A Cachegrind rider's result depends only on the program's data
     references and the machine's L1/L2 geometry, so the first completed
@@ -173,7 +178,7 @@ def execute_group(group: Sequence[RunSpec]) -> List[RunOutcome]:
     options: Dict[str, Any] = {}
     if first.mode == "umi":
         options["umi_config"] = first.umi_config()
-    variants = [_observers(spec) for spec in group]
+    variants = [_variant(spec) for spec in group]
     wants = [bool(v.get("with_cachegrind")) for v in variants]
     geometry = (machine.l1, machine.l2)
     kept = riders.get(geometry) if any(wants) else None

@@ -7,6 +7,14 @@ every mode.  Observers never perturb it, so one run can serve them
 all: :func:`repro.runners.run_fused` executes once and splits
 per-member outcomes back out, each stored under its member's digest.
 
+UMI specs whose ``umi_overrides`` differ only in analysis-only fields
+(:data:`repro.core.config.ANALYSIS_FIELDS`: the mini-simulator's and
+the delinquent-load predictor's settings) share an execution too, as
+long as software prefetching is off.  Each member then gets its own
+analysis lane of the one run.  With ``sw_prefetch`` on, the
+predictor's labels drive the optimizer, so those fields do shape the
+run and still split groups.
+
 :func:`plan_groups` partitions a wavefront of missing specs into such
 groups, program-major: every group of one program (workload and scale)
 runs back to back, so a worker builds each program once
@@ -22,6 +30,7 @@ import dataclasses
 from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple
 
+from repro.core.config import ANALYSIS_FIELDS
 from repro.runners import OBSERVER_KWARGS
 
 from .spec import RunSpec
@@ -34,15 +43,24 @@ EXECUTION_FIELDS = tuple(f.name for f in dataclasses.fields(RunSpec)
 
 _execution_identity = attrgetter(*EXECUTION_FIELDS)
 
+_OVERRIDES = EXECUTION_FIELDS.index("umi_overrides")
+
 
 def fusion_key(spec: RunSpec) -> Tuple:
     """The execution identity a spec shares with its fusables.
 
     Only the mode and its execution fields (workload, scale, machine,
     machine scale, sampling, prefetch settings, UMI overrides) shape
-    timing; the observer fields never do, in any mode.
+    timing; the observer fields never do, in any mode.  Without
+    software prefetching, neither do the analysis-only UMI overrides.
     """
-    return _execution_identity(spec)
+    key = _execution_identity(spec)
+    if spec.mode == "umi" and not spec.sw_prefetch:
+        overrides = tuple(item for item in spec.umi_overrides
+                          if item[0] not in ANALYSIS_FIELDS)
+        if overrides != spec.umi_overrides:
+            key = key[:_OVERRIDES] + (overrides,) + key[_OVERRIDES + 1:]
+    return key
 
 
 def plan_groups(specs: Sequence[RunSpec]) -> List[List[RunSpec]]:

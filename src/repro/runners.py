@@ -230,16 +230,16 @@ def _start_native(program: Program, hierarchy: MemoryHierarchy,
                   max_steps: int):
     interp = Interpreter(program, hierarchy, cost_model, stream=stream)
 
-    def run() -> RunOutcome:
+    def run() -> List[RunOutcome]:
         interp.run_native(max_steps=max_steps)
-        return RunOutcome(
+        return [RunOutcome(
             program_name=program.name,
             mode="native",
             cycles=interp.state.cycles,
             steps=interp.state.steps,
             hw_l2_miss_ratio=hierarchy.l2_miss_ratio(),
             hw_counters=hierarchy.counters_snapshot(),
-        )
+        )]
     return interp.state, run
 
 
@@ -254,9 +254,9 @@ def _start_dynamo(program: Program, hierarchy: MemoryHierarchy,
         stream=stream,
     )
 
-    def run() -> RunOutcome:
+    def run() -> List[RunOutcome]:
         stats = dynamo.run()
-        return RunOutcome(
+        return [RunOutcome(
             program_name=program.name,
             mode="dynamo",
             cycles=dynamo.state.cycles,
@@ -264,7 +264,7 @@ def _start_dynamo(program: Program, hierarchy: MemoryHierarchy,
             hw_l2_miss_ratio=hierarchy.l2_miss_ratio(),
             hw_counters=hierarchy.counters_snapshot(),
             runtime_stats=stats,
-        )
+        )]
     return dynamo.state, run
 
 
@@ -272,19 +272,22 @@ def _start_umi(program: Program, hierarchy: MemoryHierarchy,
                stream: Optional[RefStream], cost_model: CostModel,
                max_steps: int,
                umi_config: Optional[UMIConfig] = None,
-               runtime_config: Optional[RuntimeConfig] = None):
+               runtime_config: Optional[RuntimeConfig] = None,
+               analysis_configs: Sequence[Optional[UMIConfig]] = ()):
+    umi_config = umi_config or UMIConfig()
     umi = UMIRuntime(
         program, hierarchy.config,
-        config=umi_config or UMIConfig(),
+        config=umi_config,
         cost_model=cost_model,
         runtime_config=runtime_config or RuntimeConfig(max_steps=max_steps),
         hierarchy=hierarchy,
         stream=stream,
+        analysis_configs=[config or umi_config
+                          for config in analysis_configs],
     )
 
-    def run() -> RunOutcome:
-        result = umi.run()
-        return RunOutcome(
+    def run() -> List[RunOutcome]:
+        return [RunOutcome(
             program_name=program.name,
             mode="umi",
             cycles=result.cycles,
@@ -293,14 +296,14 @@ def _start_umi(program: Program, hierarchy: MemoryHierarchy,
             hw_counters=result.hardware_counters,
             runtime_stats=result.runtime_stats,
             umi=result,
-        )
+        ) for result in umi.run_lanes()]
     return umi.state, run
 
 
 #: Mode name -> starter.  A starter builds the mode's simulator over the
 #: shared hierarchy and stream and returns ``(machine state, run)``;
-#: ``run()`` executes to completion and returns the outcome before any
-#: observer's share is added.
+#: ``run()`` executes to completion and returns the outcomes before any
+#: observer's share is added: one per analysis config for umi, else one.
 _STARTERS = {"native": _start_native, "dynamo": _start_dynamo,
              "umi": _start_umi}
 
@@ -327,14 +330,17 @@ def _refs_served(hierarchy: MemoryHierarchy) -> int:
 def _count_run(hierarchy: MemoryHierarchy,
                stats: Optional[RuntimeStats]) -> None:
     """Count one execution's work from the program's own statistics:
-    references served, L1D and L2 misses (the hierarchy's stats) and,
-    under DynamoSim, trace passes (``RuntimeStats.trace_entries``)."""
+    references served, L1D and L2 misses and the L2 lines the hardware
+    prefetcher filled (the hierarchy's stats) and, under DynamoSim,
+    trace passes (``RuntimeStats.trace_entries``)."""
     telemetry = get_telemetry()
     if not telemetry.enabled:
         return
     telemetry.count("memory.refs_served", _refs_served(hierarchy))
     telemetry.count("memory.l1d_misses", hierarchy.l1.stats.misses)
     telemetry.count("memory.l2_misses", hierarchy.l2.stats.misses)
+    telemetry.count("memory.l2_prefetch_fills",
+                    hierarchy.l2.stats.prefetch_fills)
     if stats is not None:
         telemetry.count("vm.trace_passes", stats.trace_entries)
 
@@ -368,17 +374,23 @@ def run_fused(
 
     ``variants`` is a sequence of dicts with any of the
     :data:`OBSERVER_KWARGS` keys: ``counter_sample_size``,
-    ``with_cachegrind`` and ``consumers``.  ``max_steps`` bounds the
-    run in every mode, except that a dynamo/umi ``runtime_config``
-    carries its own bound.  ``options`` are the mode's other execution
-    knobs: ``runtime_config`` for dynamo, ``umi_config`` and
-    ``runtime_config`` for umi.
+    ``with_cachegrind`` and ``consumers``.  In umi mode a variant may
+    also carry its own ``umi_config``.  ``max_steps`` bounds the run in
+    every mode, except that a dynamo/umi ``runtime_config`` carries its
+    own bound.  ``options`` are the mode's other execution knobs:
+    ``runtime_config`` for dynamo, ``umi_config`` and ``runtime_config``
+    for umi.
 
     The fusion is sound because every observer is passive: the
     hardware counters observe line events without touching simulator
     state, Cachegrind keeps its own untimed cache model, and shadow
     hierarchy consumers replay the recorded per-event cycles -- so each
-    variant's numbers are bit-identical to a standalone run.  The
+    variant's numbers are bit-identical to a standalone run.  So is a
+    umi variant's own ``umi_config``: it may differ from the run's only
+    in :data:`~repro.core.config.ANALYSIS_FIELDS` (and not at all with
+    software prefetching on), which no execution reads, and the variant
+    gets the result of its own analysis lane
+    (:class:`~repro.core.UMIRuntime`).  The
     Cachegrind rider goes further: it models no timing, prefetching or
     instruction fetch, so its result is the offline
     :func:`run_cachegrind` of the program on the machine's L1/L2 in
@@ -410,6 +422,11 @@ def run_fused(
     if cachegrind is not None:
         stream.attach(cachegrind)
     plan.wire(stream, hierarchy)
+    if mode == "umi":
+        options["analysis_configs"] = [v.get("umi_config")
+                                       for v in variants]
+    elif any("umi_config" in v for v in variants):
+        raise ValueError("only umi variants take a umi_config")
     state, run = start(program, hierarchy, stream, cost_model, max_steps,
                        **options)
 
@@ -422,15 +439,17 @@ def run_fused(
             counter_sets[sample_size] = _counter_set(
                 state, hierarchy, cost_model, sample_size)
 
-    base = run()
+    bases = run()
     _finish_streams(stream, hierarchy)
     if cachegrind is not None:
         _check_rider(stream, cachegrind)
-    _count_run(hierarchy, base.runtime_stats)
+    _count_run(hierarchy, bases[0].runtime_stats)
+    if len(bases) == 1:
+        bases *= len(variants)
 
     all_derived = plan.derived()
     outcomes: List[RunOutcome] = []
-    for v in variants:
+    for v, base in zip(variants, bases):
         hw = counter_sets.get(v.get("counter_sample_size"))
         interrupt_cycles = hw.total_interrupt_cycles() if hw else 0
         outcomes.append(replace(

@@ -104,12 +104,15 @@ def overview_table(metrics: List[Dict[str, Any]],
     table.add_row("references served",
                   _counter_total(metrics, "memory.refs_served"))
     # Also from the program's own statistics after each execution: the
-    # L1D and L2 caches' demand misses, and DynamoSim's trace passes
-    # (native executions have none).
+    # L1D and L2 caches' demand misses, the L2 lines the hardware
+    # prefetcher filled, and DynamoSim's trace passes (native
+    # executions have none).
     table.add_row("L1D misses",
                   _counter_total(metrics, "memory.l1d_misses"))
     table.add_row("L2 misses",
                   _counter_total(metrics, "memory.l2_misses"))
+    table.add_row("L2 prefetch fills",
+                  _counter_total(metrics, "memory.l2_prefetch_fills"))
     table.add_row("trace passes",
                   _counter_total(metrics, "vm.trace_passes"))
     # Block compilation: code objects made on a code-cache miss, the
@@ -135,6 +138,9 @@ def overview_table(metrics: List[Dict[str, Any]],
     table.add_row("store misses", misses)
     table.add_row("store hit ratio",
                   "%.3f" % (hits / probes) if probes else "-")
+    # Per execution, not per spec: a fused group's analysis lanes share
+    # one analyzer context switch, and lanes with equal mini-simulator
+    # settings share one mini-simulator and its flushes.
     table.add_row("analyzer invocations",
                   _counter_total(metrics, "umi.analyzer_invocations"))
     table.add_row("profiles collected",

@@ -20,7 +20,7 @@ class Trace:
     __slots__ = (
         "head", "block_labels", "blocks", "loops_to_head", "entries",
         "hooked", "instrumented", "profile_cols", "prefetch_map",
-        "sample_count", "delinquency_threshold", "analyzer_invocations",
+        "sample_count",
     )
 
     def __init__(self, head: str, blocks: List[BasicBlock],
@@ -45,9 +45,6 @@ class Trace:
         self.prefetch_map: Optional[Dict[int, int]] = None
         #: saturating counter driven by the sample-based region selector.
         self.sample_count = 0
-        #: per-trace adaptive delinquency threshold (paper Section 7.1).
-        self.delinquency_threshold = 0.90
-        self.analyzer_invocations = 0
 
     # -- structure queries ----------------------------------------------------
 

@@ -81,12 +81,30 @@ class TestDelinquentPredictor:
     def test_adaptive_threshold_decays_to_floor(self):
         program, trace, load_pc, _ = make_program_and_trace()
         predictor = DelinquentPredictor(UMIConfig(), program)
-        assert trace.delinquency_threshold == pytest.approx(0.90)
+        assert predictor.threshold(trace.head) == pytest.approx(0.90)
         for _ in range(20):
             predictor.process(
                 trace, result_with({load_pc: op(load_pc, 100, 5)}))
-        assert trace.delinquency_threshold == pytest.approx(0.10)
-        assert trace.analyzer_invocations == 20
+        assert predictor.threshold(trace.head) == pytest.approx(0.10)
+        assert predictor.decisions == 20
+
+    def test_adaptive_threshold_starts_at_the_configured_value(self):
+        # A 0.6 miss ratio is delinquent against an initial threshold
+        # of 0.5 on the trace's first analysis.
+        program, trace, load_pc, _ = make_program_and_trace()
+        predictor = DelinquentPredictor(
+            UMIConfig(initial_delinquency_threshold=0.5), program)
+        labelled = predictor.process(
+            trace, result_with({load_pc: op(load_pc, 100, 60)}))
+        assert labelled == {load_pc}
+        assert predictor.threshold(trace.head) == pytest.approx(0.4)
+
+    def test_thresholds_are_per_trace(self):
+        program, trace, load_pc, _ = make_program_and_trace()
+        predictor = DelinquentPredictor(UMIConfig(), program)
+        predictor.process(trace, result_with({load_pc: op(load_pc, 100, 5)}))
+        assert predictor.threshold(trace.head) == pytest.approx(0.80)
+        assert predictor.threshold("other") == pytest.approx(0.90)
 
     def test_decayed_threshold_eventually_labels_moderate_load(self):
         program, trace, load_pc, _ = make_program_and_trace()
@@ -104,7 +122,7 @@ class TestDelinquentPredictor:
         for _ in range(5):
             predictor.process(
                 trace, result_with({load_pc: op(load_pc, 100, 30)}))
-        assert trace.delinquency_threshold == pytest.approx(0.90)
+        assert predictor.threshold(trace.head) == pytest.approx(0.90)
         assert not predictor.prediction_set
 
 

@@ -16,16 +16,19 @@ import weakref
 import pytest
 
 import repro.runners as runners
-from repro.core import UMIConfig
+from repro.core import UMIConfig, UMIRuntime
+from repro.core.config import ANALYSIS_FIELDS
 from repro.engine import RunSpec, attempt, cached_program, \
     execute_group_payloads, execute_spec_payload, fusion_key, plan_groups
 from repro.engine.fusion import EXECUTION_FIELDS
 from repro.isa import Instruction, MemOperand
 from repro.experiments import ResultCache
 from repro.experiments import table4
-from repro.memory import get_machine
+from repro.memory import CacheConfig, get_machine
 from repro.runners import run_cachegrind, run_fused, run_native, run_umi
-from repro.serialize import _cachegrind_to_dict, outcome_to_dict
+from repro.serialize import (
+    _cachegrind_to_dict, outcome_to_dict, umi_result_to_dict,
+)
 from repro.workloads import get_workload
 
 WORKLOADS = ["em3d", "mst", "health"]
@@ -135,6 +138,35 @@ class TestFusionPlanning:
         assert fusion_key(base) != fusion_key(other)
         assert plan_groups([base, other]) == [[base], [other]]
 
+    def test_analysis_only_overrides_share_a_key(self):
+        base = RunSpec.umi("em3d", SCALE, "pentium4", MACHINE_SCALE,
+                           umi_overrides=(("frequency_threshold", 32),))
+        variants = [
+            RunSpec.umi("em3d", SCALE, "pentium4", MACHINE_SCALE,
+                        with_cachegrind=True,
+                        umi_overrides=(("frequency_threshold", 32),
+                                       *overrides))
+            for overrides in ANALYSIS_OVERRIDES]
+        assert {fusion_key(spec) for spec in variants} == {fusion_key(base)}
+        assert plan_groups([base, *variants]) == [[base, *variants]]
+
+    def test_analysis_only_overrides_split_under_sw_prefetch(self):
+        # The predictor's labels drive the optimizer, so they shape
+        # the run.
+        specs = [RunSpec.umi("em3d", SCALE, "pentium4", MACHINE_SCALE,
+                             sw_prefetch=True, umi_overrides=overrides)
+                 for overrides in ((), *ANALYSIS_OVERRIDES)]
+        assert len({fusion_key(spec) for spec in specs}) == len(specs)
+        assert plan_groups(specs) == [[spec] for spec in specs]
+
+    @pytest.mark.parametrize("override", [("frequency_threshold", 32),
+                                          ("address_profile_entries", 64)])
+    def test_execution_overrides_still_split(self, override):
+        base = RunSpec.umi("em3d", SCALE, "pentium4", MACHINE_SCALE)
+        other = RunSpec.umi("em3d", SCALE, "pentium4", MACHINE_SCALE,
+                            umi_overrides=(override,))
+        assert fusion_key(base) != fusion_key(other)
+
     def test_plan_groups_preserves_order(self):
         a, b = self.spec(), self.spec(counter_sample_size=100)
         other = RunSpec.native("mst", SCALE, "pentium4", MACHINE_SCALE)
@@ -211,6 +243,151 @@ class TestFusionPlanning:
         assert "cachegrind" not in first and "derived" not in first
         assert "cachegrind" in second
         assert set(second["derived"]) == {"shadow-hwpf"}
+
+
+#: A non-default value for every analysis-only UMIConfig field.
+ANALYSIS_VALUES = {
+    "mini_cache": CacheConfig(size=8192, assoc=2, line_size=64),
+    "warmup_executions": 0,
+    "shared_cache": False,
+    "flush_interval": None,
+    "adaptive_threshold": False,
+    "initial_delinquency_threshold": 0.5,
+    "threshold_step": 0.3,
+    "min_delinquency_threshold": 0.4,
+    "min_op_refs": 1,
+}
+
+#: The analysis-only overrides a spec can carry (scalars only), one
+#: spec's worth each; the sensitivity ablations use such sets.
+ANALYSIS_OVERRIDES = (
+    (("warmup_executions", 0),),
+    (("shared_cache", False),),
+    (("flush_interval", None),),
+    (("adaptive_threshold", False),
+     ("initial_delinquency_threshold", 0.1)),
+    (("min_delinquency_threshold", 0.4), ("min_op_refs", 1),
+     ("threshold_step", 0.3)),
+)
+
+#: ``(workload, execution config)`` runs that collect profiles at the
+#: test scale: timer sampling, no sampling and event-mode sampling.
+ANALYSIS_RUNS = {
+    "181.mcf-timer": ("181.mcf", {"use_sampling": True}),
+    "197.parser-unsampled": ("197.parser", {"use_sampling": False}),
+    "179.art-timer": ("179.art", {"use_sampling": True}),
+    "179.art-unsampled": ("179.art", {"use_sampling": False}),
+    "181.mcf-event": ("181.mcf", {"use_sampling": True,
+                                  "sampling_mode": "event",
+                                  "event_sample_period": 8,
+                                  "frequency_threshold": 8}),
+}
+
+
+def execution_view(outcome):
+    """Everything an execution decides, none of what its analyzer
+    labels: cycles, steps, runtime, hardware, instrumentation and UMI
+    statistics."""
+    result = outcome.umi
+    return (outcome.cycles, outcome.steps, outcome.hw_counters,
+            result.runtime_stats, result.hardware_counters,
+            result.instrumentation, result.umi_stats)
+
+
+def result_json(result):
+    return json.dumps(umi_result_to_dict(result), sort_keys=True)
+
+
+class TestAnalysisFields:
+    """The analysis-only allowlist: those fields never change the run,
+    so runs differing only there share one execution."""
+
+    def test_values_cover_the_allowlist(self):
+        assert set(ANALYSIS_VALUES) == set(ANALYSIS_FIELDS)
+        defaults = UMIConfig()
+        for name, value in ANALYSIS_VALUES.items():
+            assert getattr(defaults, name) != value
+
+    @pytest.mark.parametrize("run", sorted(ANALYSIS_RUNS))
+    def test_analysis_fields_do_not_change_the_execution(self, run):
+        workload, execution = ANALYSIS_RUNS[run]
+        program = get_workload(workload).build(SCALE)
+        machine = get_machine("pentium4", scale=MACHINE_SCALE)
+        default = run_umi(program, machine,
+                          umi_config=UMIConfig(**execution))
+        assert default.umi.umi_stats.profiles_collected > 0
+        for name, value in ANALYSIS_VALUES.items():
+            changed = run_umi(program, machine, umi_config=UMIConfig(
+                **execution, **{name: value}))
+            assert execution_view(changed) == execution_view(default), name
+
+    @pytest.mark.parametrize("workload", ["181.mcf", "179.art"])
+    @pytest.mark.parametrize("override", [("frequency_threshold", 32),
+                                          ("address_profile_entries", 64)])
+    def test_execution_fields_change_cycles(self, workload, override):
+        program = get_workload(workload).build(SCALE)
+        machine = get_machine("pentium4", scale=MACHINE_SCALE)
+        default = run_umi(program, machine,
+                          umi_config=UMIConfig(use_sampling=True))
+        changed = run_umi(program, machine, umi_config=UMIConfig(
+            use_sampling=True, **dict([override])))
+        assert changed.cycles != default.cycles
+
+    @pytest.mark.parametrize("run", sorted(ANALYSIS_RUNS))
+    def test_each_lane_matches_its_own_run(self, run):
+        workload, execution = ANALYSIS_RUNS[run]
+        program = get_workload(workload).build(SCALE)
+        machine = get_machine("pentium4", scale=MACHINE_SCALE)
+        configs = [UMIConfig(**execution)] + [
+            UMIConfig(**execution, **{name: value})
+            for name, value in ANALYSIS_VALUES.items()]
+        umi = UMIRuntime(program, machine, configs[0],
+                         analysis_configs=configs)
+        for config, result in zip(configs, umi.run_lanes()):
+            alone = UMIRuntime(program, machine, config).run()
+            assert result_json(result) == result_json(alone)
+
+    def test_lanes_share_a_mini_simulator_when_its_settings_agree(self):
+        program = build("em3d")
+        machine = get_machine("pentium4", scale=MACHINE_SCALE)
+        configs = [UMIConfig(), UMIConfig(adaptive_threshold=False),
+                   UMIConfig(min_op_refs=1), UMIConfig(warmup_executions=0)]
+        umi = UMIRuntime(program, machine, configs[0],
+                         analysis_configs=configs)
+        sims = [lane.mini_sim for lane in umi._lane_of]
+        assert sims[0] is sims[1] is sims[2] is umi.mini_sim
+        assert sims[3] is not sims[0]
+
+    def test_lanes_refuse_execution_differences(self):
+        program = build("em3d")
+        machine = get_machine("pentium4", scale=MACHINE_SCALE)
+        with pytest.raises(ValueError, match="analysis fields"):
+            UMIRuntime(program, machine, UMIConfig(), analysis_configs=[
+                UMIConfig(), UMIConfig(frequency_threshold=32)])
+        swpf = UMIConfig(enable_sw_prefetch=True)
+        with pytest.raises(ValueError, match="software prefetching"):
+            UMIRuntime(program, machine, swpf, analysis_configs=[
+                swpf, UMIConfig(enable_sw_prefetch=True,
+                                warmup_executions=0)])
+
+    @pytest.mark.parametrize("workload", ["181.mcf", "197.parser"])
+    def test_fused_group_payloads_match_singletons(self, workload):
+        # The sensitivity battery's shape: each member asks for a
+        # Cachegrind rider, under its own analysis-only overrides.
+        group = [RunSpec.umi(workload, SCALE, "pentium4", MACHINE_SCALE,
+                             sampling=workload != "197.parser",
+                             with_cachegrind=True,
+                             umi_overrides=overrides)
+                 for overrides in ((), *ANALYSIS_OVERRIDES)]
+        assert plan_groups(group) == [group]
+        fused = execute_group_payloads(group)
+        singles = [execute_spec_payload(spec) for spec in group]
+        assert [json.dumps(p, sort_keys=True) for p in fused] \
+            == [json.dumps(p, sort_keys=True) for p in singles]
+        # The members really were analysed differently.
+        assert len({json.dumps(p["umi"], sort_keys=True)
+                    for p in fused}) > 1
+
 
 class TestTable4Fusion:
     def test_each_workload_executes_twice(self):

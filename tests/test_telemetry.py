@@ -211,7 +211,9 @@ class TestParallelMergeEqualsSerial:
     def test_worker_metrics_merge_deterministically(self,
                                                     global_telemetry,
                                                     monkeypatch):
-        specs = [native_spec(), umi_spec()]
+        # The prefetching native run gives the L2 prefetch fills a
+        # nonzero count.
+        specs = [native_spec(), umi_spec(), native_spec(hw_prefetch=True)]
         global_telemetry.enable()
         fresh_process_caches(monkeypatch)
         make_executor(1).execute(specs)
@@ -224,7 +226,7 @@ class TestParallelMergeEqualsSerial:
         executor.close()
         parallel = global_telemetry.snapshot()
 
-        assert executor.runs_executed == 2
+        assert executor.runs_executed == 3
         # The pool.* namespace attributes leases to worker ids -- it is
         # deliberately backend-specific (a serial run has no workers) --
         # and the cache counters split by placement, so the
@@ -247,7 +249,8 @@ class TestParallelMergeEqualsSerial:
         # Counts read from each run's own statistics merge to the
         # serial totals (covered above; named here so they must exist).
         for name in ("memory.refs_served", "memory.l1d_misses",
-                     "memory.l2_misses", "vm.trace_passes"):
+                     "memory.l2_misses", "memory.l2_prefetch_fills",
+                     "vm.trace_passes"):
             assert total(parallel_counts, {name}) \
                 == total(serial_counts, {name}) > 0
         for names in CACHE_TOTALS:
@@ -561,6 +564,9 @@ class TestCLITelemetry:
             h.l1.stats.misses for h in hierarchies) > 0
         assert rows["L2 misses"] == sum(
             h.l2.stats.misses for h in hierarchies) > 0
+        # table2 runs without the hardware prefetcher.
+        assert rows["L2 prefetch fills"] == sum(
+            h.l2.stats.prefetch_fills for h in hierarchies) == 0
         assert rows["L1D misses"] <= rows["references served"]
         # table2's one UMI group runs under DynamoSim.
         assert len(runtime_stats) == 1
